@@ -191,12 +191,28 @@ def cmd_twopoint(args) -> int:
     raise ValueError("choose one of --gamma, --pure-gaps, --member")
 
 
+def _budget(args) -> int:
+    """The enumeration budget from --budget, else KUMMER_BUDGET, else the
+    default; anything but a positive integer is rejected."""
+    if args.budget is not None:
+        source, raw = "--budget", args.budget
+    elif "KUMMER_BUDGET" in os.environ:
+        source, raw = "KUMMER_BUDGET", os.environ["KUMMER_BUDGET"]
+    else:
+        return codemod.DEFAULT_BUDGET
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = None
+    if budget is None or budget < 1:
+        raise ValueError(f"{source} must be a positive integer, got {raw!r}")
+    return budget
+
+
 def cmd_code(args) -> int:
     curve = _load(args)
     G = _parse_divisor(curve, args.G)
-    budget = args.budget
-    if budget is None:
-        budget = int(os.environ.get("KUMMER_BUDGET", codemod.DEFAULT_BUDGET))
+    budget = _budget(args)
     if args.omega:
         box = None
         supp = G.support_indices
@@ -403,8 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="brute-force the exact minimum distance")
     p_code.add_argument("--shorten", type=int, default=0, metavar="S",
                         help="also report the code shortened on S coordinates")
-    p_code.add_argument("--budget", type=int,
-                        help="enumeration budget (default KUMMER_BUDGET or 2^24)")
+    p_code.add_argument("--budget",
+                        help="scan for --exact-d only if q^k <= this positive "
+                             "integer (default KUMMER_BUDGET or 2^24)")
     p_code.add_argument("--matrix-out", help="write the generator matrix here")
     p_code.set_defaults(fn=cmd_code)
 

@@ -6,9 +6,10 @@ as nullspaces.  Generator matrices are canonical reduced row-echelon forms
 over F_q so identical inputs give byte-identical output.
 
 Matrix work runs on numpy arrays of canonical encodings through the exact
-field lookup tables; the minimum-distance search enumerates the full message
-space in vectorized chunks (deterministic, same exhaustive scan as a word-at-
-a-time loop).
+field lookup tables.  The exact minimum distance is a full scan of one
+codeword per scalar class, (q**k - 1)/(q - 1) words, weighed against a table
+of suffix combinations of at most SCAN_CAP elements, so its memory is capped
+whatever q**k is; the budget still bounds q**k.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from .curve import KummerCurve
 
 DEFAULT_BUDGET = 2 ** 24
+# elements (rows * n) of the minimum-distance suffix table: 8 MiB as int64
+SCAN_CAP = 2 ** 20
 
 GOPPA_L = "goppa_L"
 GOPPA_OMEGA = "goppa_omega"
@@ -183,6 +186,11 @@ def residue_code(curve: "KummerCurve", G: rr.Divisor, box: PureGapBox | None = N
     """
     primal = evaluation_code(curve, G)
     gen = nullspace(curve.field, primal.gen)
+    if gen.shape[0] == 0:
+        raise ValueError(
+            f"the residue code is trivial: the evaluation code for G is all "
+            f"of F_q^{primal.n} (k = 0)"
+        )
     kind = HOMMA_KIM if box is not None else GOPPA_OMEGA
     return LinearCode(
         field=curve.field, n=primal.n, k=gen.shape[0], gen=gen,
@@ -213,37 +221,57 @@ def designed_distance(curve: "KummerCurve", G: rr.Divisor, kind: str,
 
 
 # ---------------------------------------------------------------------------
-# exact minimum distance by full message-space enumeration
+# exact minimum distance by a full scan of the scalar classes
 
 
-def exact_min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET,
-                       chunk: int = 1 << 16) -> int | None:
-    """Minimum Hamming weight over all q**k - 1 nonzero codewords.
+def exact_min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int | None:
+    """Minimum Hamming weight over all nonzero codewords.
 
-    Returns None when q**k exceeds the enumeration budget.  Messages are
-    scanned in blocks as base-q digit expansions of 1..q**k-1, so the result
-    is deterministic and independent of the chunking.
+    Returns None when q**k exceeds the enumeration budget and raises
+    ValueError on a code with k = 0, which has no nonzero codeword.
+
+    c*w has the weight of w for c != 0, so each of the (q**k - 1)/(q - 1)
+    scalar classes is scanned once, through its message whose first nonzero
+    digit is 1.  The last s rows of the generator are expanded into the
+    table T of all q**s of their F_q-combinations, s the largest with
+    q**s * n <= SCAN_CAP, by T_j = {c*g_j + t : c in F_q, t in T_{j+1}}
+    (one add-table gather per entry).  Messages that lead inside the table
+    are the c = 1 blocks of that recurrence.  A message that leads at row l
+    before the table gives v = g_l + sum c_j*g_j over the rows between, and
+    v + t vanishes exactly where t = -v, so the weights of all of v + T
+    come from one comparison with the negation table.  Memory stays a few
+    times SCAN_CAP elements whatever q**k is; the scan never stops early,
+    so the result is exact and deterministic.
     """
-    q, k = code.field.q, code.k
-    total = q ** k
-    if total > budget:
+    q, k, n = code.field.q, code.k, code.n
+    if k == 0:
+        raise ValueError("the code has dimension k = 0 and no nonzero codeword")
+    if q ** k > budget:
         return None
     t = code.field.tables()
     gen = code.gen
-    weights_min = code.n + 1
-    powers = np.array([q ** i for i in range(k)], dtype=np.int64)
-    for start in range(1, total, chunk):
-        stop = min(start + chunk, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        digits = (idx[:, None] // powers[None, :]) % q
-        words = np.zeros((idx.size, code.n), dtype=np.int64)
-        for row in range(k):
-            col = digits[:, row]
-            words = t.add[words, t.mul[col[:, None], gen[row][None, :]]]
-        w = int(np.min(np.count_nonzero(words, axis=1)))
-        if w < weights_min:
-            weights_min = w
-    return weights_min
+    table = np.zeros((1, n), dtype=np.int64)
+    split = k  # rows split.. are in the table
+    best = n
+    while split > 0 and q * len(table) * n <= SCAN_CAP:
+        split -= 1
+        rows = len(table)
+        table = t.add[t.mul[:, gen[split]][:, None, :], table[None, :, :]].reshape(-1, n)
+        lead_block = table[rows:2 * rows]  # c = 1: the messages leading at row split
+        best = min(best, int(np.count_nonzero(lead_block, axis=1).min()))
+    for lead in range(split):
+        for v in _prefix_words(t, gen[lead], gen[lead + 1:split]):
+            best = min(best, int(np.count_nonzero(table != t.neg[v], axis=1).min()))
+    return best
+
+
+def _prefix_words(t, word: np.ndarray, rows: np.ndarray):
+    """Yield word + sum(c_j * rows[j]) for every choice of digits c_j in F_q."""
+    if not len(rows):
+        yield word
+        return
+    for scaled in t.mul[:, rows[0]]:
+        yield from _prefix_words(t, t.add[word, scaled], rows[1:])
 
 
 def shorten(code: LinearCode, s: int) -> LinearCode:

@@ -142,6 +142,32 @@ def test_code_budget_notice(capsys, cfg_dir, monkeypatch):
     assert "budget" in err
 
 
+def test_code_budget_validation(capsys, cfg_dir, monkeypatch):
+    args = ("code", "--curve", str(cfg_dir / "f25_y3.cfg"), "--G", "5P_inf", "--exact-d")
+    monkeypatch.setenv("KUMMER_BUDGET", "abc")
+    code, out, err = run_cli(capsys, *args)
+    assert code == EXIT_PRECONDITION and not out and "KUMMER_BUDGET" in err
+    for bad in ("-5", "0", "abc"):
+        code, out, err = run_cli(capsys, *args, "--budget", bad)
+        assert code == EXIT_PRECONDITION and not out and "--budget" in err
+    monkeypatch.delenv("KUMMER_BUDGET")
+    # scan iff q^k <= budget; q^k = 25^3 = 15625
+    code, out, err = run_cli(capsys, *args, "--budget", "15625")
+    assert code == EXIT_OK and json.loads(out)["exact_d"] == 60 and not err
+    code, out, err = run_cli(capsys, *args, "--budget", "15624")
+    assert code == EXIT_OK and "exact_d" not in json.loads(out)
+    assert "exceeds the budget" in err
+
+
+def test_code_degenerate_dual_rejected(capsys, cfg_dir):
+    # deg G = 200 > n = 65: C_Omega would have k = 0
+    code, out, err = run_cli(
+        capsys, "code", "--curve", str(cfg_dir / "f25_y3.cfg"),
+        "--G", "200P_inf", "--omega", "--exact-d",
+    )
+    assert code == EXIT_PRECONDITION and not out and "k = 0" in err
+
+
 def test_code_shorten_flag(capsys, cfg_dir):
     code, out, _ = run_cli(
         capsys, "code", "--curve", str(cfg_dir / "f64_y9.cfg"),

@@ -1,11 +1,24 @@
+import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import kummercodes
 from kummercodes import Polynomial, make_curve, make_field
+from kummercodes import code as codemod
 from kummercodes.code import (
     GOPPA_L,
     GOPPA_OMEGA,
     HOMMA_KIM,
+    LinearCode,
     designed_distance,
     evaluation_code,
     exact_min_distance,
@@ -106,6 +119,94 @@ def test_exact_min_distance_budget(curve_y3_x5x):
     assert d == 60
     assert d >= code.designed_d
     assert code.k + d <= code.n + 1  # Singleton
+
+
+def test_degenerate_codes_rejected(curve_y3_x5x):
+    # deg G = 200 > n: C_L is all of F_25^65, so its dual has k = 0
+    with pytest.raises(ValueError, match="k = 0"):
+        residue_code(curve_y3_x5x, Divisor.at_infinity(200))
+    empty = LinearCode(
+        field=curve_y3_x5x.field, n=65, k=0, gen=np.zeros((0, 65), dtype=np.int64),
+        designed_d=0, d_kind=GOPPA_L,
+    )
+    with pytest.raises(ValueError, match="k = 0"):
+        exact_min_distance(empty)
+
+
+SMALL_FIELDS = {f.q: f for f in (make_field(p, e) for p, e in
+                                 ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)))}
+
+
+def word_at_a_time_min_distance(code):
+    """Reference: build every one of the q**k - 1 nonzero codewords alone."""
+    t = code.field.tables()
+    best = None
+    for msg in itertools.product(range(code.field.q), repeat=code.k):
+        if not any(msg):
+            continue
+        word = np.zeros(code.n, dtype=np.int64)
+        for c, row in zip(msg, code.gen):
+            word = t.add[word, t.mul[c, row]]
+        weight = int(np.count_nonzero(word))
+        best = weight if best is None else min(best, weight)
+    return best
+
+
+@st.composite
+def rref_codes(draw):
+    """A random [n, k] code over a small field, k <= 5, n <= 12, q**k <= 9**4:
+    the RREF of a uniform random matrix."""
+    field = SMALL_FIELDS[draw(st.sampled_from(sorted(SMALL_FIELDS)))]
+    q = field.q
+    k = draw(st.sampled_from([k for k in range(1, 6) if q ** k <= 9 ** 4]))
+    n = draw(st.sampled_from(range(k, 13)))
+    # uniform entries: drawn one by one they lean to 0, and then the lightest
+    # word is almost always a row, which would leave the combinations untested
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    gen, _ = rref(field, rng.integers(0, q, size=(k, n), dtype=np.int64))
+    assume(len(gen))
+    return LinearCode(field=field, n=n, k=len(gen), gen=gen, designed_d=1, d_kind=GOPPA_L)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rref_codes())
+def test_exact_min_distance_matches_word_at_a_time(code):
+    want = word_at_a_time_min_distance(code)
+    total = code.field.q ** code.k
+    # default cap: whole table; q*n: one table row, the rest by prefix
+    # words; 0: no table, every word a prefix word
+    for cap in (codemod.SCAN_CAP, code.field.q * code.n, 0):
+        with mock.patch.object(codemod, "SCAN_CAP", cap):
+            assert exact_min_distance(code, budget=total) == want
+    assert exact_min_distance(code, budget=total - 1) is None
+
+
+def test_exact_min_distance_reference_scan_is_bounded():
+    # [256,4]_64 for G = 9P_inf on y^9 = x^4 + x^2 + x: q^k = 2^24, the
+    # default budget; run in a fresh process so its peak RSS is the scan's
+    script = (
+        "import json, resource, time\n"
+        "from kummercodes import Divisor, evaluation_code, exact_min_distance\n"
+        "from kummercodes.cli import REFERENCE_CONFIGS\n"
+        "from kummercodes.curve import curve_from_config\n"
+        "curve = curve_from_config(REFERENCE_CONFIGS['f64_y9'])\n"
+        "code = evaluation_code(curve, Divisor.at_infinity(9))\n"
+        "t0 = time.perf_counter()\n"
+        "d = exact_min_distance(code)\n"
+        "print(json.dumps({'nk': [code.n, code.k], 'd': d,\n"
+        "    's': time.perf_counter() - t0,\n"
+        "    'rss_mb': resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))\n"
+    )
+    src = str(Path(kummercodes.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report["nk"] == [256, 4] and report["d"] == 247
+    assert report["s"] < 5
+    assert report["rss_mb"] < 100
 
 
 def test_shorten(curve_y9_quartic, curve_y3_x5x):
