@@ -4,15 +4,9 @@ The curve model is y**m = f(x)**lambda over F_q with f separable of degree r
 and gcd(m, r*lambda) = 1.  See the README for the CLI and a library tour.
 """
 
+import importlib
+
 from . import onepoint, rr, twopoint
-from .code import (
-    LinearCode,
-    designed_distance,
-    evaluation_code,
-    exact_min_distance,
-    residue_code,
-    shorten,
-)
 from .curve import (
     ConfigError,
     KummerCurve,
@@ -47,6 +41,18 @@ from .twopoint import (
 )
 
 __version__ = "0.1.0"
+
+_CODE_NAMES = ("LinearCode", "designed_distance", "evaluation_code",
+               "exact_min_distance", "residue_code", "shorten")
+
+
+def __getattr__(name):
+    # the code layer needs numpy, so theory-only use never imports it
+    if name == "code" or name in _CODE_NAMES:
+        code = importlib.import_module(".code", __name__)
+        return code if name == "code" else getattr(code, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ConfigError",

@@ -63,10 +63,6 @@ def _fail(exit_code: int, message: str) -> int:
     return exit_code
 
 
-def _load(args) -> KummerCurve:
-    return load_curve(args.curve)
-
-
 def _parse_place(curve: KummerCurve, spec: str):
     if spec in ("inf", "P_inf", "Pinf"):
         return curve.place_infinity()
@@ -120,7 +116,7 @@ def _format_divisor(D: rr.Divisor) -> str:
 
 
 def cmd_semigroup(args) -> int:
-    curve = _load(args)
+    curve = load_curve(args.curve)
     place = _parse_place(curve, args.place)
     sem = onepoint.semigroup_at(curve, place)
     payload = sem.to_dict()
@@ -132,15 +128,10 @@ def cmd_semigroup(args) -> int:
 
 
 def cmd_twopoint(args) -> int:
-    curve = _load(args)
+    curve = load_curve(args.curve)
     place = _parse_place(curve, args.place)
     if place.kind != "ramified":
         raise ValueError("the second point must be a finite ramified place")
-    if curve.lam != 1:
-        sys.stderr.write(
-            "warning: lambda != 1, the pure-gap floor criterion does not "
-            "apply; oracle verdicts only\n"
-        )
     if args.gamma:
         graph = twopoint.gap_graph(curve)
         payload = {"place": place.label(), "pairs": graph.to_list(), "genus": curve.genus}
@@ -171,13 +162,10 @@ def cmd_twopoint(args) -> int:
         pure_formula = pure_oracle = None
         if a >= 1 and b >= 1:
             pure_oracle = rr.pure_gap_by_dims(curve, a, b, index=place.index)
-            if curve.lam == 1:
-                pure_formula = twopoint.floor_pure_gap(curve.m, curve.r, a, b)
+            pure_formula = twopoint.floor_pure_gap(curve.m, curve.r, a, b)
             payload["pure_gap_oracle"] = pure_oracle
             payload["pure_gap_formula"] = pure_formula
-        if member_formula != member_oracle or (
-            pure_formula is not None and pure_formula != pure_oracle
-        ):
+        if member_formula != member_oracle or pure_formula != pure_oracle:
             _emit(payload, args.format, args.output)
             return _fail(EXIT_MISMATCH, "closed form and dimension oracle disagree")
         if member_oracle:
@@ -210,7 +198,7 @@ def _budget(args) -> int:
 
 
 def cmd_code(args) -> int:
-    curve = _load(args)
+    curve = load_curve(args.curve)
     G = _parse_divisor(curve, args.G)
     budget = _budget(args)
     if args.omega:

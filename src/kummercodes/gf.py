@@ -2,18 +2,27 @@
 
 Elements are coefficient vectors modulo a fixed monic irreducible polynomial
 over F_p.  Every element has a canonical integer encoding
-``enc = sum(coeffs[i] * p**i)`` in ``[0, q)``, which is the wire format used
-throughout the package.  No floating point, no discrete-log shortcuts: all
-searches are exhaustive scans, which is fine at desk scale (q <= 2**16).
+``enc = sum(coeffs[i] * p**i)`` in ``[0, q)``, the wire format used
+throughout the package; a :class:`FieldElement` holds only that integer.
+
+Arithmetic is Zech-logarithm arithmetic (Lidl-Niederreiter, *Finite
+Fields*) on O(q) lists built once per field from the primitive element g of
+smallest encoding: ``exp[n] = enc(g**n)``, its inverse ``log``, ``neg`` and
+``zech[n] = log(1 + g**n)`` (-1 where g**n = -1), so that
+``a*b = exp[log a + log b]`` and ``a + b = a * g**zech[log b - log a]``,
+exponents mod q - 1.  Polynomial arithmetic mod the modulus only picks the
+modulus and walks the powers of g once.  Caps: q <= MAX_Q = 2**16, and the
+dense :meth:`Field.tables` (16*q**2 bytes) need q <= MAX_TABLE_Q = 2**12.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 def is_prime(n: int) -> bool:
@@ -89,19 +98,57 @@ def _decode_coeffs(n: int, p: int, length: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _encode(coeffs: Sequence[int], p: int) -> int:
+    n = 0
+    for c in reversed(coeffs):
+        n = n * p + c
+    return n
+
+
+def _exp_table(p: int, e: int, modulus: tuple[int, ...]) -> list[int]:
+    """Encodings of g**0, ..., g**(q-2) for the primitive element g of
+    smallest encoding: the first candidate with g**((q-1)/r) != 1 for every
+    prime r dividing q - 1."""
+    q = p ** e
+
+    def mul(a, b):
+        return _fp_mod(_fp_mul(a, b, p), modulus, p)
+
+    def power(a, k):
+        out = (1,)
+        for bit in bin(k)[2:]:
+            out = mul(out, out)
+            if bit == "1":
+                out = mul(out, a)
+        return out
+
+    cofactors = [(q - 1) // r for r in range(2, q) if (q - 1) % r == 0 and is_prime(r)]
+    for g in range(1, q):
+        gc = _fp_trim(_decode_coeffs(g, p, e))
+        if all(power(gc, k) != (1,) for k in cofactors):
+            break
+    powers, cur = [], (1,)
+    for _ in range(q - 1):
+        powers.append(_encode(cur, p))
+        cur = mul(cur, gc)
+    return powers
+
+
 @dataclass(frozen=True)
 class FieldTables:
-    """Dense lookup tables for arithmetic on canonical encodings.
-
-    Used by the linear-algebra layer (matrix reduction, codeword
-    enumeration) so that hot loops run on numpy integer arrays while the
-    arithmetic itself stays the exact table built from Field operations.
+    """Dense lookup tables on canonical encodings, derived from the
+    exp/log/Zech lists, so the matrix layer's hot loops run on numpy arrays.
     """
 
     add: np.ndarray   # add[i, j] = enc(a_i + a_j)
     mul: np.ndarray   # mul[i, j] = enc(a_i * a_j)
     neg: np.ndarray   # neg[i]    = enc(-a_i)
     inv: np.ndarray   # inv[i]    = enc(a_i**-1); inv[0] = 0 (unused)
+
+
+# largest field order, and largest order with dense q x q tables (16*q**2 bytes)
+MAX_Q = 2 ** 16
+MAX_TABLE_Q = 2 ** 12
 
 
 class Field:
@@ -111,13 +158,16 @@ class Field:
     unless a specific modulus is wanted.
     """
 
-    __slots__ = ("p", "e", "q", "modulus", "_tables", "__weakref__")
+    __slots__ = ("p", "e", "q", "modulus", "_exp", "_log", "_zech", "_neg",
+                 "_tables", "__weakref__")
 
     def __init__(self, p: int, e: int, modulus: Sequence[int] | None = None):
-        if not is_prime(p):
-            raise ValueError(f"characteristic must be prime, got {p}")
         if e < 1:
             raise ValueError(f"extension degree must be >= 1, got {e}")
+        if p <= MAX_Q and not is_prime(p):
+            raise ValueError(f"characteristic must be prime, got {p}")
+        if e > 16 or p ** e > MAX_Q:
+            raise ValueError(f"q = {p}**{e} exceeds the field size cap MAX_Q = 2**16")
         if modulus is None:
             modulus = _smallest_irreducible(p, e)
         modulus = _fp_trim(tuple(c % p for c in modulus))
@@ -125,11 +175,19 @@ class Field:
             raise ValueError("modulus must be monic of degree e")
         if not _fp_is_irreducible(modulus, p):
             raise ValueError("modulus is not irreducible over F_p")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "q", p ** e)
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "_tables", None)
+        q = p ** e
+        exp = _exp_table(p, e, modulus)
+        log = [-1] * q          # log[0] = -1 becomes the zech entry where 1 + g**n = 0
+        for n, a in enumerate(exp):
+            log[a] = n
+        # 1 + a adds 1 to the lowest base-p digit of the encoding
+        zech = [log[a - p + 1 if a % p == p - 1 else a + 1] for a in exp]
+        half = (q - 1) // 2 if p != 2 else 0      # -1 = g**half
+        neg = [0] + [exp[(log[a] + half) % (q - 1)] for a in range(1, q)]
+        for name, value in (("p", p), ("e", e), ("q", q), ("modulus", modulus),
+                            ("_exp", exp), ("_log", log), ("_zech", zech),
+                            ("_neg", neg), ("_tables", None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Field is immutable")
@@ -158,100 +216,103 @@ class Field:
             return value
         if isinstance(value, int):
             if self.e == 1:
-                return FieldElement(self, (value % self.p,))
+                return FieldElement(self, value % self.p)
             if not 0 <= value < self.q:
                 raise ValueError(f"encoding {value} outside [0, {self.q})")
-            return FieldElement(self, _decode_coeffs(value, self.p, self.e))
+            return FieldElement(self, value)
         coeffs = tuple(int(c) % self.p for c in value)
         if len(coeffs) != self.e:
             raise ValueError(f"expected {self.e} coefficients, got {len(coeffs)}")
-        return FieldElement(self, coeffs)
+        return FieldElement(self, _encode(coeffs, self.p))
 
     def zero(self) -> FieldElement:
-        return FieldElement(self, (0,) * self.e)
+        return FieldElement(self, 0)
 
     def one(self) -> FieldElement:
-        return FieldElement(self, (1,) + (0,) * (self.e - 1))
+        return FieldElement(self, 1)
 
     def elements(self) -> Iterator[FieldElement]:
         """All field elements in increasing encoding order."""
         for n in range(self.q):
-            yield self.element(n)
-
-    # -- internal arithmetic on coefficient tuples ---------------------------
-
-    def _add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def _sub(self, a, b):
-        return tuple((x - y) % self.p for x, y in zip(a, b))
-
-    def _neg(self, a):
-        return tuple((-x) % self.p for x in a)
-
-    def _mul(self, a, b):
-        prod = _fp_mul(a, b, self.p)
-        red = _fp_mod(prod, self.modulus, self.p)
-        return red + (0,) * (self.e - len(red))
+            yield FieldElement(self, n)
 
     def tables(self) -> FieldTables:
-        """enc-indexed add/mul/neg/inv tables (built once, then cached)."""
+        """enc-indexed add/mul/neg/inv tables (built once, then cached).
+
+        Derived from the exp/log/Zech arrays by numpy broadcasting; raises
+        ValueError before allocating when q > MAX_TABLE_Q.
+        """
         if self._tables is not None:
             return self._tables
-        q = self.q
-        els = [self.element(n) for n in range(q)]
-        add = np.zeros((q, q), dtype=np.int64)
+        q, order = self.q, self.q - 1
+        if q > MAX_TABLE_Q:
+            raise ValueError(
+                f"field tables need 16*q^2 = {16 * q * q} bytes; q = {q} exceeds "
+                f"the table cap MAX_TABLE_Q = 2**12")
+        import numpy as np  # only the matrix layer needs numpy
+
+        # doubled lists, so sums of two logs index them without reduction
+        exp = np.array(self._exp * 2, dtype=np.int64)
+        zech = np.array(self._zech * 2, dtype=np.int64)
+        logs = np.array(self._log[1:], dtype=np.int64)
         mul = np.zeros((q, q), dtype=np.int64)
-        neg = np.zeros(q, dtype=np.int64)
+        mul[1:, 1:] = exp[logs[:, None] + logs]
+        # a + b = a * g**zech[log b - log a], and 0 where zech is -1 (b = -a)
+        z = zech[logs - logs[:, None] + order]
+        add = np.empty((q, q), dtype=np.int64)
+        add[0] = add[:, 0] = np.arange(q)
+        add[1:, 1:] = np.where(z < 0, 0, exp[z + logs[:, None]])
         inv = np.zeros(q, dtype=np.int64)
-        for i in range(q):
-            neg[i] = (-els[i]).enc
-            if i:
-                inv[i] = els[i].inverse().enc
-            for j in range(q):
-                add[i, j] = (els[i] + els[j]).enc
-                mul[i, j] = (els[i] * els[j]).enc
-        tabs = FieldTables(add=add, mul=mul, neg=neg, inv=inv)
+        inv[1:] = exp[order - logs]
+        tabs = FieldTables(add=add, mul=mul, neg=np.array(self._neg, dtype=np.int64), inv=inv)
         object.__setattr__(self, "_tables", tabs)
         return tabs
 
 
 class FieldElement:
-    """Immutable element of a :class:`Field`; supports the usual operators."""
+    """Immutable element of a :class:`Field`, held as its encoding ``enc``.
 
-    __slots__ = ("field", "coeffs")
+    Every operator is one or two lookups in the field's exp/log/Zech arrays.
+    """
 
-    def __init__(self, field: Field, coeffs: tuple[int, ...]):
+    __slots__ = ("field", "enc")
+
+    def __init__(self, field: Field, enc: int):
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "enc", enc)
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldElement is immutable")
 
     @property
-    def enc(self) -> int:
-        n = 0
-        for c in reversed(self.coeffs):
-            n = n * self.field.p + c
-        return n
+    def coeffs(self) -> tuple[int, ...]:
+        return _decode_coeffs(self.enc, self.field.p, self.field.e)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return self.enc == 0
 
     def _coerce(self, other) -> "FieldElement":
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ValueError("operands belong to different fields")
             return other
         if isinstance(other, int):
-            return self.field.element(other % self.field.p if self.field.e == 1 else other)
+            return self.field.element(other)
         return NotImplemented
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return FieldElement(self.field, self.field._add(self.coeffs, other.coeffs))
+        a, b = self.enc, other.enc
+        if not a:
+            return other
+        if not b:
+            return self
+        F = self.field
+        la, order = F._log[a], F.q - 1
+        z = F._zech[(F._log[b] - la) % order]
+        return FieldElement(F, 0 if z < 0 else F._exp[(la + z) % order])
 
     __radd__ = __add__
 
@@ -259,27 +320,28 @@ class FieldElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return FieldElement(self.field, self.field._sub(self.coeffs, other.coeffs))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __neg__(self):
-        return FieldElement(self.field, self.field._neg(self.coeffs))
+        return FieldElement(self.field, self.field._neg[self.enc])
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return FieldElement(self.field, self.field._mul(self.coeffs, other.coeffs))
+        a, b = self.enc, other.enc
+        if not a or not b:
+            return FieldElement(self.field, 0)
+        F = self.field
+        return FieldElement(F, F._exp[(F._log[a] + F._log[b]) % (F.q - 1)])
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        if self.is_zero():
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        # Lagrange: a**(q-2) * a = a**(q-1) = 1
-        return self ** (self.field.q - 2)
+        return self ** -1
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -288,24 +350,21 @@ class FieldElement:
         return self * other.inverse()
 
     def __pow__(self, n: int) -> "FieldElement":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        """a**n for any integer n, with 0**0 = 1; 0**n for n < 0 raises."""
+        F = self.field
+        if not self.enc:
+            if n < 0:
+                raise ZeroDivisionError("0 has no multiplicative inverse")
+            return FieldElement(F, 0 if n else 1)
+        return FieldElement(F, F._exp[F._log[self.enc] * n % (F.q - 1)])
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
-            return self.field == other.field and self.coeffs == other.coeffs
+            return self.enc == other.enc and self.field == other.field
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash((self.field, self.enc))
 
     def __repr__(self):
         return f"{self.enc}"

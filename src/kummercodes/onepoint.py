@@ -148,24 +148,21 @@ def is_gap(curve: "KummerCurve", place: "Place", s: int) -> bool:
         raise ValueError("s must be non-negative")
     m, r, lam = curve.m, curve.r, curve.lam
     if place.kind == "infinity":
-        return s in _infinity_gap_set(m, r)
+        return s not in semigroups(m, r)[0]
     t = (-s * pow(lam, -1, m)) % m
     return r * ((t * lam) % m) > m * (1 + (s - 1) // m)
 
 
 @lru_cache(maxsize=None)
-def _infinity_gap_set(m: int, r: int) -> frozenset[int]:
-    return frozenset(NumericalSemigroup.from_generators((m, r)).gaps)
-
-
-@lru_cache(maxsize=None)
-def _ramified_gaps(m: int, r: int) -> tuple[int, ...]:
-    # doubly indexed gap family at a finite totally ramified place
+def semigroups(m: int, r: int) -> tuple[NumericalSemigroup, NumericalSemigroup]:
+    """(H(P_inf), H(P)) as functions of (m, r): <m, r>, and the complement
+    of the doubly indexed gap family {1 + i + m*j}, which is the same at
+    every place over a root of f, rational center or not."""
     gaps = []
     for i in range(0, m - 1 - m // r):
         for j in range(0, r - 1 - (r * (i + 1)) // m):
             gaps.append(1 + i + m * j)
-    return tuple(sorted(gaps))
+    return NumericalSemigroup.from_generators((m, r)), NumericalSemigroup.from_gaps(gaps)
 
 
 def semigroup_at(curve: "KummerCurve", place: "Place") -> NumericalSemigroup:
@@ -178,10 +175,7 @@ def semigroup_at(curve: "KummerCurve", place: "Place") -> NumericalSemigroup:
     _require_ramified(place, allow_infinity=True)
     if curve.genus < 1:
         raise ValueError("gap theory needs genus >= 1")
-    if place.kind == "infinity":
-        sem = NumericalSemigroup.from_generators((curve.m, curve.r))
-    else:
-        sem = NumericalSemigroup.from_gaps(_ramified_gaps(curve.m, curve.r))
+    sem = semigroups(curve.m, curve.r)[place.kind != "infinity"]
     assert sem.genus == curve.genus, "gap count must equal the curve genus"
     return sem
 

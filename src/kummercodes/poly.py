@@ -175,7 +175,7 @@ class Polynomial:
     def derivative(self) -> "Polynomial":
         out = []
         for i in range(1, len(self.coeffs)):
-            out.append(self.coeffs[i] * _int_in_field(self.field, i))
+            out.append(self.coeffs[i] * self.field.element(i % self.field.p))
         return Polynomial(self.field, out)
 
     def __call__(self, a: FieldElement) -> FieldElement:
@@ -197,11 +197,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self.format()!r})"
-
-
-def _int_in_field(field: Field, n: int) -> FieldElement:
-    """The image of the integer n in F_q (n times 1)."""
-    return field.element([n % field.p] + [0] * (field.e - 1))
 
 
 def gcd(f: Polynomial, g: Polynomial) -> Polynomial:

@@ -124,13 +124,6 @@ def dim(curve: "KummerCurve", D: Divisor) -> int:
     return total
 
 
-def restrict(curve: "KummerCurve", D: Divisor) -> Divisor:
-    """Push D down to the rational subfield: every coefficient floor-divided
-    by the ramification index m."""
-    m = curve.m
-    return Divisor(D.coeff_inf // m, {i: c // m for i, c in D.coeffs})
-
-
 @dataclass(frozen=True)
 class BasisFunction:
     """x**x_pow * y**y_pow * prod_i (x - alpha_i)**(-denom[i]) * f(x)**(-f_pow).
@@ -231,18 +224,6 @@ class RRBasis:
 
     def as_strings(self) -> list[str]:
         return [str(fn) for fn in self.functions]
-
-    def to_dicts(self) -> list[dict]:
-        """Exponent data of each basis monomial, JSON-ready."""
-        return [
-            {
-                "x_pow": fn.x_pow,
-                "y_pow": fn.y_pow,
-                "denom": {str(i): e for i, e in fn.denom},
-                "f_pow": fn.f_pow,
-            }
-            for fn in self.functions
-        ]
 
 
 def basis(curve: "KummerCurve", D: Divisor) -> RRBasis:

@@ -1,13 +1,12 @@
 """Two-point Weierstrass theory at (P_inf, P) for a finite ramified P.
 
-All finite totally ramified places carry the same structure, so everything
-here depends only on (m, r, lambda).  The pair convention is fixed
-throughout: first coordinate at P_inf, second at P.
-
-The pure-gap floor criterion is only valid for lambda = 1 (its derivation
-uses the divisor of y with unit exponents); for other lambda the dimension
-oracle from :mod:`.rr` answers instead, and the two routes are swept against
-each other in the tests wherever both apply.
+All finite totally ramified places carry the same structure, and as
+gcd(m, lambda) = 1, y' = y**a / f**b with a*lambda - b*m = 1 turns the
+curve into y'**m = f(x) fixing x, P_inf and every P_i.  So everything here
+depends only on (m, r) and is memoised on those integers; pure gaps come
+from the floor criterion for every lambda, and the dimension oracle of
+:mod:`.rr` stays as the cross-check (tests, ``--member``, verify-paper).
+The pair convention: first coordinate at P_inf, second at P.
 """
 
 from __future__ import annotations
@@ -16,9 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable
 
-from . import rr
 from .gf import is_prime
-from .onepoint import NumericalSemigroup, semigroup_at
+from .onepoint import semigroups
 
 if TYPE_CHECKING:  # pragma: no cover
     from .curve import KummerCurve
@@ -72,37 +70,29 @@ def gap_graph(curve: "KummerCurve") -> GapGraph:
     checked to biject the two one-point gap sets."""
     if curve.genus < 1:
         raise ValueError("gap theory needs genus >= 1")
-    m, r = curve.m, curve.r
+    return _gap_graph(curve.m, curve.r)
+
+
+@lru_cache(maxsize=None)
+def _gap_graph(m: int, r: int) -> GapGraph:
     pairs = []
     for i in range(1, m - m // r):
         for j in range(1, r - (r * i) // m):
             pairs.append((m * r - m * j - r * i, i + m * (j - 1)))
     pairs.sort()
     graph = GapGraph(tuple(pairs))
-    g = curve.genus
+    g = (m - 1) * (r - 1) // 2
     assert len(graph.pairs) == g, "pair count must equal the genus"
-    firsts = {a for a, _ in graph.pairs}
-    seconds = {b for _, b in graph.pairs}
-    inf_gaps = set(semigroup_at(curve, curve.place_infinity()).gaps)
-    p_gaps = set(_finite_place_semigroup(curve).gaps)
-    assert firsts == inf_gaps and len(firsts) == g
-    assert seconds == p_gaps and len(seconds) == g
+    sem_inf, sem_p = semigroups(m, r)
+    assert sorted(a for a, _ in pairs) == list(sem_inf.gaps)
+    assert sorted(b for _, b in pairs) == list(sem_p.gaps)
     return graph
 
 
-def _finite_place_semigroup(curve: "KummerCurve") -> NumericalSemigroup:
-    # identical at every place over a root of f, rational center or not
-    from .onepoint import _ramified_gaps
-
-    return NumericalSemigroup.from_gaps(_ramified_gaps(curve.m, curve.r))
-
-
 @lru_cache(maxsize=None)
-def _membership_data(curve: "KummerCurve"):
-    graph = gap_graph(curve)
-    sem_inf = semigroup_at(curve, curve.place_infinity())
-    sem_p = _finite_place_semigroup(curve)
-    return graph.by_first(), graph.by_second(), sem_inf, sem_p
+def _membership_data(m: int, r: int):
+    graph = _gap_graph(m, r)
+    return (graph.by_first(), graph.by_second()) + semigroups(m, r)
 
 
 def is_member(curve: "KummerCurve", a: int, b: int) -> bool:
@@ -116,14 +106,15 @@ def is_member(curve: "KummerCurve", a: int, b: int) -> bool:
     """
     if a < 0 or b < 0:
         raise ValueError("membership is defined for non-negative pairs")
-    by_first, by_second, sem_inf, sem_p = _membership_data(curve)
+    by_first, by_second, sem_inf, sem_p = _membership_data(curve.m, curve.r)
     first_ok = (a in sem_inf) or by_first[a] <= b
     second_ok = (b in sem_p) or by_second[b] <= a
     return first_ok and second_ok
 
 
 def floor_pure_gap(m: int, r: int, a: int, b: int) -> bool:
-    """Pure-gap floor criterion for y**m = f(x), deg f = r (lambda = 1).
+    """Pure-gap floor criterion for y**m = f(x)**lambda, deg f = r (any
+    lambda prime to m, so the criterion for lambda = 1 applies).
 
     (a, b) is a pure gap at (P_inf, P) iff for every t in [0, m) the sum
     floor((a - r*t)/m) + floor((b + t)/m) is either negative or unchanged
@@ -143,11 +134,8 @@ def floor_pure_gap(m: int, r: int, a: int, b: int) -> bool:
 
 
 def is_pure_gap(curve: "KummerCurve", a: int, b: int) -> bool:
-    """Pure-gap test at (P_inf, P): the floor criterion when lambda = 1,
-    the dimension oracle otherwise."""
-    if curve.lam == 1:
-        return floor_pure_gap(curve.m, curve.r, a, b)
-    return rr.pure_gap_by_dims(curve, a, b, index=1)
+    """Pure-gap test at (P_inf, P) by the floor criterion."""
+    return floor_pure_gap(curve.m, curve.r, a, b)
 
 
 def known_pure_gap(q: int, l: int) -> tuple[int, int]:
@@ -190,23 +178,9 @@ def enumerate_pure_gaps(curve: "KummerCurve", bound: int | None = None) -> tuple
         bound = 4 * curve.genus
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    out = []
-    if curve.lam == 1:
-        m, r = curve.m, curve.r
-        for a in range(1, bound + 1):
-            for b in range(1, bound + 1):
-                if floor_pure_gap(m, r, a, b):
-                    out.append((a, b))
-    else:
-        dims = {}
-        for a in range(bound + 1):
-            for b in range(bound + 1):
-                dims[(a, b)] = rr.dim(curve, rr.Divisor(a, {1: b}))
-        for a in range(1, bound + 1):
-            for b in range(1, bound + 1):
-                if dims[(a, b)] == dims[(a - 1, b - 1)]:
-                    out.append((a, b))
-    return tuple(out)
+    m, r = curve.m, curve.r
+    return tuple((a, b) for a in range(1, bound + 1) for b in range(1, bound + 1)
+                 if floor_pure_gap(m, r, a, b))
 
 
 def verified_box(curve: "KummerCurve", beta: int, gamma: int, t1: int, t2: int) -> PureGapBox:

@@ -172,17 +172,16 @@ def test_criterion_5_two_point_equivalence(grid_curves):
                 assert is_member(c, a, b) == oracle_member, (c, a, b)
                 checked_pairs += 1
 
-        if c.lam == 1:
-            for a in range(1, bound + 1):
-                for b in range(1, bound + 1):
-                    oracle_pure = dims[(a, b)] == dims[(a - 1, b - 1)]
-                    assert floor_pure_gap(c.m, c.r, a, b) == oracle_pure, (c, a, b)
+        for a in range(1, bound + 1):
+            for b in range(1, bound + 1):
+                oracle_pure = dims[(a, b)] == dims[(a - 1, b - 1)]
+                assert floor_pure_gap(c.m, c.r, a, b) == oracle_pure, (c, a, b)
 
     _report(
         "criterion-5",
         f"lub-closure membership = oracle on {checked_pairs} pairs, pair "
         "graph inside the semigroup, floor pure-gap criterion = oracle on "
-        "every lambda = 1 grid curve",
+        "every grid curve",
     )
 
 

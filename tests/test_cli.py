@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -248,3 +249,40 @@ def test_output_file(capsys, cfg_dir, tmp_path):
     )
     assert code == EXIT_OK and out == ""
     assert json.loads(out_path.read_text(encoding="utf-8"))["generators"] == [3, 5]
+
+
+def test_twopoint_member_formula_on_general_lambda(capsys, tmp_path):
+    cfg = tmp_path / "lam2.cfg"
+    cfg.write_text("p = 7\ne = 1\nm = 5\nlambda = 2\nf = 0,2,4,1\n", encoding="utf-8")
+    verdicts = set()
+    for a, b in ((1, 1), (2, 3), (5, 3), (7, 2)):
+        code, out, err = run_cli(
+            capsys, "twopoint", "--curve", str(cfg), "--member", str(a), str(b)
+        )
+        payload = json.loads(out)
+        assert code == EXIT_OK and err == ""
+        assert payload["pure_gap_formula"] is payload["pure_gap_oracle"]
+        verdicts.add(payload["verdict"])
+    assert verdicts == {"gap, pure", "gap", "member"}
+
+
+def test_field_size_cap_exits_promptly(capsys, tmp_path):
+    # q = 2^20 used to hang scanning F_q for the roots of f
+    cfg = tmp_path / "q2e20.cfg"
+    cfg.write_text("p = 2\ne = 20\nm = 3\nlambda = 1\nf = 0,1,0,0,1\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "semigroup", "--curve", str(cfg))
+    assert code == EXIT_CONFIG and out == ""
+    assert "MAX_Q = 2**16" in err
+    assert time.perf_counter() - start < 10
+
+
+def test_table_size_cap_exits_promptly(capsys, tmp_path):
+    # q = 2^13 dense tables would take 16*q^2 = 1 GiB
+    cfg = tmp_path / "q2e13.cfg"
+    cfg.write_text("p = 2\ne = 13\nm = 3\nlambda = 1\nf = 0,1,0,0,1\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "code", "--curve", str(cfg), "--G", "3P_inf")
+    assert code == EXIT_PRECONDITION and out == ""
+    assert "MAX_TABLE_Q = 2**12" in err
+    assert time.perf_counter() - start < 30

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kummercodes.gf import Field, make_field, mth_roots
+from kummercodes.gf import Field, is_prime, make_field, mth_roots
 
 
 # -- independent irreducibility oracle: gcd with x**(p**k) - x ---------------
@@ -218,3 +220,91 @@ def test_element_hash_and_repr(f25):
     assert hash(a) == hash(f25.element(7))
     assert repr(a) == "7"
     assert {a, f25.element(7)} == {a}
+
+
+# -- the exp/log/Zech arithmetic against the tuple reference above -----------
+
+_PRIME_FIELDS = [(p, 1) for p in range(2, 2 ** 10) if is_prime(p)]
+_EXTENSION_FIELDS = [(p, e) for p in range(2, 32) if is_prime(p)
+                     for e in range(2, 11) if p ** e <= 2 ** 10]
+
+
+def _ref_add(field, a, b):
+    return field.element([x + y for x, y in zip(a.coeffs, b.coeffs)])
+
+
+def _ref_mul(field, a, b):
+    prod = _fp_mulmod(list(a.coeffs), list(b.coeffs), list(field.modulus), field.p)
+    return field.element(prod + [0] * (field.e - len(prod)))
+
+
+def _ref_pow(field, a, n):
+    if n < 0:
+        a, n = _ref_pow(field, a, field.q - 2), -n
+    out = field.one()
+    for bit in bin(n)[2:]:
+        out = _ref_mul(field, out, out)
+        if bit == "1":
+            out = _ref_mul(field, out, a)
+    return out
+
+
+@st.composite
+def field_operands(draw):
+    p, e = draw(st.sampled_from(_PRIME_FIELDS) | st.sampled_from(_EXTENSION_FIELDS))
+    field = make_field(p, e)
+    a = field.element(draw(st.integers(0, field.q - 1)))
+    b = field.element(draw(st.integers(0, field.q - 1)))
+    n = draw(st.integers(-3 * field.q, 3 * field.q))
+    return field, a, b, n
+
+
+@settings(max_examples=400, deadline=None)
+@given(field_operands())
+def test_arithmetic_matches_tuple_reference(operands):
+    field, a, b, n = operands
+    assert field.zero() ** 0 == field.one() and field.zero() ** 3 == field.zero()
+    assert a * b == _ref_mul(field, a, b)
+    assert a + b == _ref_add(field, a, b)
+    assert -b == field.element([-c for c in b.coeffs])
+    assert a - b == _ref_add(field, a, -b)
+    assert a ** 0 == field.one()
+    if a.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            a.inverse()
+        if n < 0:
+            with pytest.raises(ZeroDivisionError):
+                a ** n
+            return
+    else:
+        assert a.inverse() == _ref_pow(field, a, field.q - 2)
+        assert a * a.inverse() == field.one()
+    assert a ** n == _ref_pow(field, a, n)
+
+
+@pytest.mark.parametrize("p,e", [(5, 2), (2, 6), (2, 8)])
+def test_tables_agree_with_scalar_operators(p, e):
+    field = make_field(p, e)
+    t = field.tables()
+    els = list(field.elements())
+    for arr, shape in ((t.add, (field.q, field.q)), (t.mul, (field.q, field.q)),
+                       (t.neg, (field.q,)), (t.inv, (field.q,))):
+        assert arr.dtype == "int64" and arr.shape == shape
+    assert t.neg.tolist() == [(-a).enc for a in els]
+    assert t.inv.tolist() == [0] + [a.inverse().enc for a in els[1:]]
+    for a in els:
+        assert t.add[a.enc].tolist() == [(a + b).enc for b in els]
+        assert t.mul[a.enc].tolist() == [(a * b).enc for b in els]
+
+
+def test_size_caps():
+    with pytest.raises(ValueError, match="MAX_Q"):
+        Field(2, 17)
+    with pytest.raises(ValueError, match="MAX_Q"):
+        make_field(65537)
+    with pytest.raises(ValueError, match="MAX_Q"):
+        make_field(3, 10 ** 9)
+    big = make_field(2, 13)
+    with pytest.raises(ValueError, match="MAX_TABLE_Q"):
+        big.tables()
+    assert big._tables is None

@@ -12,7 +12,6 @@ from kummercodes.rr import (
     gap_by_dims,
     member_by_dims,
     pure_gap_by_dims,
-    restrict,
 )
 
 
@@ -28,14 +27,6 @@ def test_divisor_algebra():
     assert hash(Divisor(1, {1: 1})) == hash(Divisor(1, {1: 1}))
     with pytest.raises(ValueError):
         Divisor(0, {0: 3})
-
-
-def test_restrict(curve_y9_quartic):
-    d = Divisor(19, {1: 21, 2: 2, 3: 2, 4: 2})
-    down = restrict(curve_y9_quartic, d)
-    assert down == Divisor(2, {1: 2})
-    assert restrict(curve_y9_quartic, Divisor()) == Divisor()
-    assert restrict(curve_y9_quartic, Divisor(-1)) == Divisor(-1)  # floor(-1/9) = -1
 
 
 def test_dim_reference_values(curve_y3_x5x, curve_y9_quartic, curve_y6_x5x):

@@ -84,14 +84,15 @@ def test_floor_pure_gap_examples(curve_y9_quartic, curve_y6_x5x):
 def test_is_pure_gap_dispatch(curve_y9_quartic):
     assert is_pure_gap(curve_y9_quartic, 10, 10)
     assert not is_pure_gap(curve_y9_quartic, 0, 0)
-    # lambda > 1 routes to the dimension oracle; pure gaps are intrinsic to
-    # the function field, so they match the lambda = 1 model of the same curve
+    # lambda > 1 uses the same floor criterion: pure gaps are intrinsic to
+    # the function field, so the dimension oracle of the lambda = 2 model agrees
     f7 = make_field(7)
     f = Polynomial.from_roots(f7, [0, 1, 2])
     c_lam1 = make_curve(f7, 5, 1, f)
     c_lam2 = make_curve(f7, 5, 2, f)
     for a in range(1, 4 * c_lam1.genus + 1):
         for b in range(1, 4 * c_lam1.genus + 1):
+            assert is_pure_gap(c_lam2, a, b) == rr.pure_gap_by_dims(c_lam2, a, b)
             assert is_pure_gap(c_lam2, a, b) == floor_pure_gap(5, 3, a, b)
 
 
