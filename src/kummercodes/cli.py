@@ -4,7 +4,8 @@ Subcommands: semigroup, twopoint, code, verify-paper.  JSON is the canonical
 output format (text and csv are views of the same dictionary), and identical
 invocations produce byte-identical output.
 
-Exit codes: 0 success; 2 bad curve configuration; 3 precondition violation;
+Exit codes: 0 success; 2 bad curve configuration, or a curve, output or
+matrix file that cannot be read or written; 3 precondition violation;
 4 closed-form/oracle disagreement (must never happen); 5 a bundled reference
 check failed.
 """
@@ -433,7 +434,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ConfigError as exc:
         return _fail(EXIT_CONFIG, str(exc))
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a file named on the command line
         return _fail(EXIT_CONFIG, str(exc))
     except (ValueError, AssertionError) as exc:
         return _fail(EXIT_PRECONDITION, str(exc))

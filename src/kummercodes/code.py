@@ -6,16 +6,22 @@ as nullspaces.  Generator matrices are canonical reduced row-echelon forms
 over F_q so identical inputs give byte-identical output.
 
 Matrix work runs on numpy arrays of canonical encodings through the exact
-field lookup tables.  The exact minimum distance is a full scan of one
-codeword per scalar class, (q**k - 1)/(q - 1) words, weighed against a table
-of suffix combinations of at most SCAN_CAP elements, so its memory is capped
-whatever q**k is; the budget still bounds q**k.
+field lookup tables, on whole arrays: the basis is evaluated at the ordinary
+places one y-stratum at a time by exp/log gathers, and rref eliminates every
+row in one gather per pivot.  One rref of the columns in reverse order gives
+both the canonical dual (nullspace) and the coordinates a shortening drops;
+the shortened generator is then read off one more rref.  The exact minimum
+distance is a full scan of one codeword per scalar class, (q**k - 1)/(q - 1)
+words, weighed against a table of suffix combinations of at most SCAN_CAP
+elements, so its memory is capped whatever q**k is; the budget still bounds
+q**k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from itertools import groupby
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -24,7 +30,7 @@ from .gf import Field
 from .twopoint import PureGapBox
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .curve import KummerCurve
+    from .curve import KummerCurve, Place
 
 DEFAULT_BUDGET = 2 ** 24
 # elements (rows * n) of the minimum-distance suffix table: 8 MiB as int64
@@ -71,9 +77,14 @@ class LinearCode:
 def rref(field: Field, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row-echelon form over F_q; returns (matrix, pivot columns).
 
-    Zero rows are dropped, so the result always has full row rank.
+    Zero rows are dropped, so the result always has full row rank.  Each
+    pivot clears its column from every other row in one mul and one add
+    gather, on the flat tables at index a*q + b, over the columns from the
+    pivot on: the pivot row is zero to its left.
     """
     t = field.tables()
+    q = field.q
+    add_flat, mul_flat = t.add.ravel(), t.mul.ravel()
     m = np.array(mat, dtype=np.int64)
     rows, cols = m.shape
     pivots = []
@@ -81,36 +92,45 @@ def rref(field: Field, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
     for col in range(cols):
         if rank == rows:
             break
-        nz = np.nonzero(m[rank:, col])[0]
+        nz = np.flatnonzero(m[rank:, col])
         if nz.size == 0:
             continue
         sel = rank + int(nz[0])
         if sel != rank:
             m[[rank, sel]] = m[[sel, rank]]
-        inv = t.inv[m[rank, col]]
-        m[rank] = t.mul[inv, m[rank]]
-        for rr_ in range(rows):
-            if rr_ != rank and m[rr_, col]:
-                c = t.neg[m[rr_, col]]
-                m[rr_] = t.add[m[rr_], t.mul[c, m[rank]]]
+        prow = t.mul[t.inv[m[rank, col]], m[rank, col:]]
+        m[rank, col:] = prow
+        hit = np.flatnonzero(m[:, col])
+        hit = hit[hit != rank]
+        if hit.size:
+            scaled = np.take(mul_flat, t.neg[m[hit, col]][:, None] * q + prow)
+            m[hit, col:] = np.take(add_flat, m[hit, col:] * q + scaled)
         pivots.append(col)
         rank += 1
     return m[:rank], pivots
 
 
 def nullspace(field: Field, mat: np.ndarray) -> np.ndarray:
-    """Canonical basis of {v : mat . v^T = 0}, as an RREF matrix."""
-    red, pivots = rref(field, mat)
-    rows, cols = red.shape
-    t = field.tables()
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for bi, fc in enumerate(free):
-        basis[bi, fc] = 1
-        for ri, pc in enumerate(pivots):
-            basis[bi, pc] = t.neg[red[ri, fc]]
-    out, _ = rref(field, basis)
-    return out
+    """Canonical basis of {v : mat . v^T = 0}, as an RREF matrix.
+
+    The pivots of rref(mat[:, ::-1]) are the rightmost information set B of
+    the row space; read left to right, the row of that rref for b in B ends
+    at column b.  By matroid duality the complement F of B is the leftmost
+    information set of the dual, so the vectors with the identity on F and
+    the negated rref entries on B are already the dual's RREF: the vector
+    for f in F is 0 at every b < f, because the row for b ends before f.
+    """
+    mat = np.asarray(mat, dtype=np.int64)
+    n = mat.shape[1]
+    red, rev_pivots = rref(field, mat[:, ::-1])
+    bound = n - 1 - np.array(rev_pivots, dtype=np.int64)
+    is_free = np.ones(n, dtype=bool)
+    is_free[bound] = False
+    free = np.flatnonzero(is_free)
+    basis = np.zeros((free.size, n), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, bound] = field.tables().neg[red[:, ::-1][:, free]].T
+    return basis
 
 
 def field_matmul(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -151,6 +171,46 @@ def evaluation_places(curve: "KummerCurve", G: rr.Divisor):
     return [p for p in curve.rational_places() if (p.kind, p.index) not in supp]
 
 
+def evaluation_matrix(curve: "KummerCurve", fns: Sequence[rr.BasisFunction],
+                      places: Sequence["Place"]) -> np.ndarray:
+    """Encodings of the basis functions (rows) at the places (columns).
+
+    At the ordinary places the functions of one y-stratum share the factor
+    y**t * prod_i (x - alpha_i)**(-e_i) * f(x)**(-s) and differ only in the
+    power x**j, so each row is one exp gather of
+    j*log x + t*log y - sum_i e_i*log(x - alpha_i) - s*log f(x) mod q - 1,
+    and 0 where x = 0 < j.  y, f(x) and x - alpha_i never vanish there.
+    P_inf and the ramified places go through BasisFunction.evaluate.
+    """
+    field = curve.field
+    t = field.tables()
+    exp, log = np.array(field._exp), np.array(field._log)
+    raw = np.zeros((len(fns), len(places)), dtype=np.int64)
+    ordinary = []
+    for col, place in enumerate(places):
+        if place.kind == "ordinary":
+            ordinary.append(col)
+        else:
+            raw[:, col] = [fn.evaluate(curve, place).enc for fn in fns]
+    xs = np.array([places[col].x.enc for col in ordinary], dtype=np.int64)
+    ys = np.array([places[col].y.enc for col in ordinary], dtype=np.int64)
+    fx = np.zeros_like(xs)
+    for c in reversed(curve.f.coeffs):
+        fx = t.add[t.mul[fx, xs], c.enc]
+    log_x, log_y, log_f, x_zero = log[xs], log[ys], log[fx], xs == 0
+    start = 0
+    for (y_pow, denom, f_pow), stratum in groupby(fns, lambda fn: (fn.y_pow, fn.denom, fn.f_pow)):
+        js = np.array([fn.x_pow for fn in stratum], dtype=np.int64)
+        base = y_pow * log_y - f_pow * log_f
+        for i, e in denom:
+            base -= e * log[t.add[xs, t.neg[curve.alphas[i - 1].enc]]]
+        block = exp[(js[:, None] * log_x + base) % (field.q - 1)]
+        block[np.ix_(js > 0, x_zero)] = 0
+        raw[start:start + len(js), ordinary] = block
+        start += len(js)
+    return raw
+
+
 def evaluation_code(curve: "KummerCurve", G: rr.Divisor) -> LinearCode:
     """The code {(h(P_1), ..., h(P_n)) : h in L(G)} over F_q.
 
@@ -163,11 +223,7 @@ def evaluation_code(curve: "KummerCurve", G: rr.Divisor) -> LinearCode:
     fns = rr.basis(curve, G).functions
     if not fns:
         raise ValueError("L(G) is trivial; the code would be empty")
-    raw = np.zeros((len(fns), n), dtype=np.int64)
-    for i, fn in enumerate(fns):
-        for j, place in enumerate(places):
-            raw[i, j] = fn.evaluate(curve, place).enc
-    gen, _ = rref(curve.field, raw)
+    gen, _ = rref(curve.field, evaluation_matrix(curve, fns, places))
     k = gen.shape[0]
     if k == 0:
         raise ValueError("evaluation map is identically zero")
@@ -281,26 +337,20 @@ def shorten(code: LinearCode, s: int) -> LinearCode:
     Columns are taken right-to-left, skipping any that are linearly
     dependent on the ones already chosen, so the result is always an
     [n-s, k-s] code with the same distance bound.  (The generator has rank
-    k > s, so s independent columns always exist.)
+    k > s, so s independent columns always exist.)  Those are the first s
+    pivots of rref(gen[:, ::-1]); its other k - s rows vanish on them, being
+    reduced, so without those columns they span the shortened code, whose
+    canonical generator is their rref.
     """
     if not 0 <= s < code.k:
         raise ValueError(f"s must satisfy 0 <= s < k = {code.k}")
     if s == 0:
         return code
     field = code.field
-    chosen: list[int] = []
-    for col in range(code.n - 1, -1, -1):
-        cand = chosen + [col]
-        sub = code.gen[:, cand]
-        if rref(field, sub.T)[0].shape[0] == len(cand):
-            chosen = cand
-            if len(chosen) == s:
-                break
-    assert len(chosen) == s
-    mu = nullspace(field, code.gen[:, chosen].T)  # messages vanishing there
-    new_rows = field_matmul(field, mu, code.gen)
-    keep = [c for c in range(code.n) if c not in set(chosen)]
-    gen, _ = rref(field, new_rows[:, keep])
+    red, rev_pivots = rref(field, code.gen[:, ::-1])
+    dropped = {code.n - 1 - col for col in rev_pivots[:s]}
+    keep = [col for col in range(code.n) if col not in dropped]
+    gen, _ = rref(field, red[s:, ::-1][:, keep])
     assert gen.shape[0] == code.k - s
     return replace(
         code, n=code.n - s, k=code.k - s, gen=gen, exact_d=None,

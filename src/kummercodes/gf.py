@@ -149,6 +149,8 @@ class FieldTables:
 # largest field order, and largest order with dense q x q tables (16*q**2 bytes)
 MAX_Q = 2 ** 16
 MAX_TABLE_Q = 2 ** 12
+# elements per block of table rows built at once: 8 MiB temporaries as int64
+TABLE_BLOCK = 2 ** 20
 
 
 class Field:
@@ -239,8 +241,10 @@ class Field:
     def tables(self) -> FieldTables:
         """enc-indexed add/mul/neg/inv tables (built once, then cached).
 
-        Derived from the exp/log/Zech arrays by numpy broadcasting; raises
-        ValueError before allocating when q > MAX_TABLE_Q.
+        Derived from the exp/log/Zech arrays by numpy broadcasting, in
+        blocks of rows so that the temporaries stay near TABLE_BLOCK
+        elements whatever q is; raises ValueError before allocating when
+        q > MAX_TABLE_Q.
         """
         if self._tables is not None:
             return self._tables
@@ -256,12 +260,16 @@ class Field:
         zech = np.array(self._zech * 2, dtype=np.int64)
         logs = np.array(self._log[1:], dtype=np.int64)
         mul = np.zeros((q, q), dtype=np.int64)
-        mul[1:, 1:] = exp[logs[:, None] + logs]
-        # a + b = a * g**zech[log b - log a], and 0 where zech is -1 (b = -a)
-        z = zech[logs - logs[:, None] + order]
         add = np.empty((q, q), dtype=np.int64)
         add[0] = add[:, 0] = np.arange(q)
-        add[1:, 1:] = np.where(z < 0, 0, exp[z + logs[:, None]])
+        step = TABLE_BLOCK // q
+        for lo in range(0, order, step):
+            rows = slice(1 + lo, 1 + lo + step)
+            log_a = logs[lo:lo + step, None]
+            mul[rows, 1:] = exp[log_a + logs]
+            # a + b = a * g**zech[log b - log a], and 0 where zech is -1 (b = -a)
+            z = zech[logs - log_a + order]
+            add[rows, 1:] = np.where(z < 0, 0, exp[z + log_a])
         inv = np.zeros(q, dtype=np.int64)
         inv[1:] = exp[order - logs]
         tabs = FieldTables(add=add, mul=mul, neg=np.array(self._neg, dtype=np.int64), inv=inv)

@@ -188,6 +188,11 @@ def test_error_exit_codes(capsys, cfg_dir, tmp_path):
     code, _, err = run_cli(capsys, "semigroup", "--curve", str(tmp_path / "nope.cfg"))
     assert code == EXIT_CONFIG
 
+    # a directory used to escape as an IsADirectoryError traceback, exit 1
+    code, out, err = run_cli(capsys, "semigroup", "--curve", str(tmp_path))
+    assert code == EXIT_CONFIG and not out
+    assert err.startswith("error[2]:") and str(tmp_path) in err
+
     code, _, err = run_cli(
         capsys, "semigroup", "--curve", str(cfg_dir / "f25_y3.cfg"), "--place", "9"
     )

@@ -21,6 +21,8 @@ from kummercodes.code import (
     LinearCode,
     designed_distance,
     evaluation_code,
+    evaluation_matrix,
+    evaluation_places,
     exact_min_distance,
     field_matmul,
     nullspace,
@@ -28,7 +30,7 @@ from kummercodes.code import (
     rref,
     shorten,
 )
-from kummercodes.rr import Divisor, dim
+from kummercodes.rr import Divisor, basis, dim
 from kummercodes.twopoint import PureGapBox, box_for_divisor
 
 
@@ -280,3 +282,147 @@ def test_ramified_places_in_evaluation_support(curve_y6_x5x):
     kinds = [p.kind for p in evaluation_places(curve_y6_x5x, G)]
     assert kinds.count("ramified") == 4
     assert "infinity" not in kinds
+
+
+# ---------------------------------------------------------------------------
+# whole-array code construction against the per-element routes it replaced
+
+
+@pytest.mark.parametrize("p,e,m,lam,f", [
+    (7, 1, 3, 1, [6, 0, 1]),   # y^3 = x^2 - 1 over F_7
+    (7, 1, 3, 2, [6, 0, 1]),   # y^3 = (x^2 - 1)^2
+    (2, 4, 5, 1, [1, 1, 1]),   # y^5 = x^2 + x + 1 over F_16
+    (2, 4, 5, 3, [1, 1, 1]),   # y^5 = (x^2 + x + 1)^3
+])
+def test_evaluation_matrix_matches_evaluate(p, e, m, lam, f):
+    # f(0) != 0, so these curves have ordinary places over x = 0, and both
+    # roots of f are named
+    field = make_field(p, e)
+    curve = make_curve(field, m, lam, Polynomial(field, f))
+    assert len(curve.alphas) == 2
+    assert any(pl.kind == "ordinary" and pl.x.is_zero() for pl in curve.rational_places())
+    for G in (Divisor(4, {1: 2}), Divisor(6, {1: -1, 2: 3}), Divisor(2, {1: 5}),
+              Divisor(0, {1: 7})):
+        fns = basis(curve, G).functions
+        assert any(fn.denom for fn in fns)
+        assert any(fn.f_pow for fn in fns) == (lam > 1)
+        places = evaluation_places(curve, G)
+        want = [[fn.evaluate(curve, place).enc for place in places] for fn in fns]
+        assert evaluation_matrix(curve, fns, places).tolist() == want
+
+
+def rref_by_rows(field, mat):
+    """Reference: eliminate the pivot column one row at a time."""
+    t = field.tables()
+    m = np.array(mat, dtype=np.int64)
+    rows, cols = m.shape
+    pivots = []
+    rank = 0
+    for col in range(cols):
+        if rank == rows:
+            break
+        nz = np.nonzero(m[rank:, col])[0]
+        if nz.size == 0:
+            continue
+        sel = rank + int(nz[0])
+        if sel != rank:
+            m[[rank, sel]] = m[[sel, rank]]
+        m[rank] = t.mul[t.inv[m[rank, col]], m[rank]]
+        for other in range(rows):
+            if other != rank and m[other, col]:
+                c = t.neg[m[other, col]]
+                m[other] = t.add[m[other], t.mul[c, m[rank]]]
+        pivots.append(col)
+        rank += 1
+    return m[:rank], pivots
+
+
+def nullspace_by_two_rrefs(field, mat):
+    """Reference: identity on the free columns of rref(mat), then rref."""
+    red, pivots = rref_by_rows(field, mat)
+    cols = red.shape[1]
+    t = field.tables()
+    free = [c for c in range(cols) if c not in pivots]
+    rows = np.zeros((len(free), cols), dtype=np.int64)
+    for bi, fc in enumerate(free):
+        rows[bi, fc] = 1
+        for ri, pc in enumerate(pivots):
+            rows[bi, pc] = t.neg[red[ri, fc]]
+    return rref_by_rows(field, rows)[0]
+
+
+def shorten_by_candidates(code, s):
+    """Reference: test each column from the right for independence, then
+    take the messages vanishing on the chosen ones."""
+    field = code.field
+    chosen = []
+    for col in range(code.n - 1, -1, -1):
+        cand = chosen + [col]
+        if rref_by_rows(field, code.gen[:, cand].T)[0].shape[0] == len(cand):
+            chosen = cand
+            if len(chosen) == s:
+                break
+    mu = nullspace_by_two_rrefs(field, code.gen[:, chosen].T)
+    rows = field_matmul(field, mu, code.gen)
+    keep = [c for c in range(code.n) if c not in chosen]
+    return rref_by_rows(field, rows[:, keep])[0]
+
+
+LA_FIELDS = {**SMALL_FIELDS, 16: make_field(2, 4), 25: make_field(5, 2)}
+
+
+@st.composite
+def field_matrices(draw):
+    """A random matrix over F_2..F_9, F_16 or F_25, at most 8 x 12: uniform,
+    sparse, or a product of two random factors, so that dependent rows and
+    columns and zero columns all occur."""
+    field = LA_FIELDS[draw(st.sampled_from(sorted(LA_FIELDS)))]
+    rows, cols = draw(st.integers(0, 8)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mat = rng.integers(0, field.q, size=(rows, cols), dtype=np.int64)
+    shape = draw(st.sampled_from(["uniform", "sparse", "low_rank"]))
+    if shape == "sparse":
+        mat[rng.random((rows, cols)) < 0.7] = 0
+    elif shape == "low_rank":
+        inner = draw(st.integers(1, 4))
+        left = rng.integers(0, field.q, size=(rows, inner), dtype=np.int64)
+        right = rng.integers(0, field.q, size=(inner, cols), dtype=np.int64)
+        mat = field_matmul(field, left, right)
+    return field, mat
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_matrices())
+def test_rref_matches_row_loop_and_is_idempotent(case):
+    field, mat = case
+    red, pivots = rref(field, mat)
+    want, want_pivots = rref_by_rows(field, mat)
+    assert np.array_equal(red, want) and pivots == want_pivots
+    again, again_pivots = rref(field, red)
+    assert np.array_equal(again, red) and again_pivots == pivots
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_matrices())
+def test_nullspace_is_the_canonical_dual(case):
+    field, mat = case
+    ns = nullspace(field, mat)
+    assert np.array_equal(rref(field, ns)[0], ns)
+    assert not field_matmul(field, mat, ns.T).any()
+    assert len(rref(field, mat)[0]) + len(ns) == mat.shape[1]
+    assert np.array_equal(ns, nullspace_by_two_rrefs(field, mat))
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_matrices(), st.data())
+def test_shorten_matches_candidate_columns(case, data):
+    field, mat = case
+    gen, _ = rref(field, mat)
+    assume(len(gen))
+    code = LinearCode(field=field, n=mat.shape[1], k=len(gen), gen=gen,
+                      designed_d=1, d_kind=GOPPA_L)
+    s = data.draw(st.integers(0, code.k - 1))
+    short = shorten(code, s)
+    assert (short.n, short.k) == (code.n - s, code.k - s)
+    want = code.gen if s == 0 else shorten_by_candidates(code, s)
+    assert np.array_equal(short.gen, want)

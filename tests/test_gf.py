@@ -1,7 +1,16 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kummercodes
+from kummercodes import gf
 from kummercodes.gf import Field, is_prime, make_field, mth_roots
 
 
@@ -308,3 +317,40 @@ def test_size_caps():
     with pytest.raises(ValueError, match="MAX_TABLE_Q"):
         big.tables()
     assert big._tables is None
+
+
+@pytest.mark.parametrize("p,e", [(5, 2), (2, 6), (2, 8)])
+def test_tables_built_in_row_blocks(p, e):
+    # below q = 1024 the whole table is one block; a fresh field built
+    # 7 rows at a time, with a short last block, must give the same arrays
+    whole = make_field(p, e).tables()
+    with mock.patch.object(gf, "TABLE_BLOCK", 7 * whole.add.shape[0]):
+        blocked = Field(p, e).tables()
+    for name in ("add", "mul", "neg", "inv"):
+        assert getattr(blocked, name).tolist() == getattr(whole, name).tolist()
+
+
+def test_largest_tables_peak_memory():
+    # q = 4096 = MAX_TABLE_Q: 2 x 128 MiB of tables; full q x q temporaries
+    # used to take the build to ~680 MB.  A fresh process, so that its peak
+    # RSS is the build's.
+    script = (
+        "import json, resource\n"
+        "from kummercodes import make_field\n"
+        "field = make_field(2, 12)\n"
+        "t = field.tables()\n"
+        "els = [field.element(n) for n in (0, 1, 2, 255, 256, 257, 2048, 4095)]\n"
+        "ok = all(t.add[a.enc, b.enc] == (a + b).enc and t.mul[a.enc, b.enc] == (a * b).enc\n"
+        "         for a in els for b in els)\n"
+        "print(json.dumps({'ok': ok, 'shape': t.add.shape,\n"
+        "    'rss_mb': resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))\n"
+    )
+    src = str(Path(kummercodes.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report["ok"] and report["shape"] == [4096, 4096]
+    assert report["rss_mb"] < 420
