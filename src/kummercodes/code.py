@@ -51,19 +51,15 @@ class LinearCode:
     gen: np.ndarray  # k x n array of encodings; treated as read-only
     designed_d: int
     d_kind: str
-    exact_d: int | None = None
 
     def summary(self) -> dict:
-        out = {
+        return {
             "q": self.field.q,
             "n": self.n,
             "k": self.k,
             "designed_d": self.designed_d,
             "d_kind": self.d_kind,
         }
-        if self.exact_d is not None:
-            out["exact_d"] = self.exact_d
-        return out
 
     def matrix_text(self) -> str:
         lines = [" ".join(str(int(v)) for v in row) for row in self.gen]
@@ -184,7 +180,6 @@ def evaluation_matrix(curve: "KummerCurve", fns: Sequence[rr.BasisFunction],
     """
     field = curve.field
     t = field.tables()
-    exp, log = np.array(field._exp), np.array(field._log)
     raw = np.zeros((len(fns), len(places)), dtype=np.int64)
     ordinary = []
     for col, place in enumerate(places):
@@ -197,14 +192,14 @@ def evaluation_matrix(curve: "KummerCurve", fns: Sequence[rr.BasisFunction],
     fx = np.zeros_like(xs)
     for c in reversed(curve.f.coeffs):
         fx = t.add[t.mul[fx, xs], c.enc]
-    log_x, log_y, log_f, x_zero = log[xs], log[ys], log[fx], xs == 0
+    log_x, log_y, log_f, x_zero = t.log[xs], t.log[ys], t.log[fx], xs == 0
     start = 0
     for (y_pow, denom, f_pow), stratum in groupby(fns, lambda fn: (fn.y_pow, fn.denom, fn.f_pow)):
         js = np.array([fn.x_pow for fn in stratum], dtype=np.int64)
         base = y_pow * log_y - f_pow * log_f
         for i, e in denom:
-            base -= e * log[t.add[xs, t.neg[curve.alphas[i - 1].enc]]]
-        block = exp[(js[:, None] * log_x + base) % (field.q - 1)]
+            base -= e * t.log[t.add[xs, t.neg[curve.alphas[i - 1].enc]]]
+        block = t.exp[(js[:, None] * log_x + base) % (field.q - 1)]
         block[np.ix_(js > 0, x_zero)] = 0
         raw[start:start + len(js), ordinary] = block
         start += len(js)
@@ -352,6 +347,4 @@ def shorten(code: LinearCode, s: int) -> LinearCode:
     keep = [col for col in range(code.n) if col not in dropped]
     gen, _ = rref(field, red[s:, ::-1][:, keep])
     assert gen.shape[0] == code.k - s
-    return replace(
-        code, n=code.n - s, k=code.k - s, gen=gen, exact_d=None,
-    )
+    return replace(code, n=code.n - s, k=code.k - s, gen=gen)

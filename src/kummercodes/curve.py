@@ -1,9 +1,10 @@
 """The Kummer extension y**m = f(x)**lambda over F_q.
 
-Validates the defining data, computes the genus, enumerates the degree-one
-places (the distinguished totally ramified ones plus the ordinary affine
-points), and records the standard principal divisors that drive all the
-valuation bookkeeping elsewhere.
+Validates the defining data, computes the genus and enumerates the
+degree-one places: the distinguished totally ramified ones, P_inf and P_i
+centred on the root ``alphas[i - 1]`` of f, plus the ordinary affine
+points.  Valuations and Riemann-Roch spaces on the distinguished places
+are :mod:`.rr`'s (``BasisFunction.valuation`` and ``dim``).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from pathlib import Path
 
 from .gf import Field, FieldElement, make_field
 from .poly import Polynomial, is_separable, roots_in_field
-from .rr import Divisor
 
 
 class ConfigError(ValueError):
@@ -27,11 +27,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Place:
-    """A degree-one place: P_inf, a ramified P_i, or an ordinary point (x, y)."""
+    """A degree-one place: P_inf, a ramified P_i (centred on the curve's
+    alphas[i - 1]), or an ordinary point (x, y)."""
 
     kind: str  # "infinity" | "ramified" | "ordinary"
     index: int = 0
-    alpha: FieldElement | None = None
     x: FieldElement | None = None
     y: FieldElement | None = None
 
@@ -40,8 +40,8 @@ class Place:
         return cls(kind="infinity")
 
     @classmethod
-    def ramified(cls, index: int, alpha: FieldElement) -> "Place":
-        return cls(kind="ramified", index=index, alpha=alpha)
+    def ramified(cls, index: int) -> "Place":
+        return cls(kind="ramified", index=index)
 
     @classmethod
     def ordinary(cls, x: FieldElement, y: FieldElement) -> "Place":
@@ -55,27 +55,10 @@ class Place:
         return f"P({self.x.enc},{self.y.enc})"
 
 
-@dataclass(frozen=True)
-class PrincipalDivisors:
-    """Divisors of x - alpha_i, y, f(x), and the degree-r pole function.
-
-    z = f(x)**num_pow / y**den_pow has pole divisor r * P_inf; the exponents
-    satisfy num_pow * m - den_pow * lambda = 1.
-    """
-
-    x_minus_alpha: dict[int, Divisor]
-    y: Divisor
-    f: Divisor
-    z: Divisor
-    z_num_pow: int
-    z_den_pow: int
-
-
 class KummerCurve:
     """Validated curve data; immutable and hashable. Build via make_curve."""
 
-    __slots__ = ("field", "m", "lam", "f", "r", "genus", "alphas",
-                 "_places", "_cofactors")
+    __slots__ = ("field", "m", "lam", "f", "r", "genus", "alphas", "_places")
 
     def __init__(self, field: Field, m: int, lam: int, f: Polynomial):
         object.__setattr__(self, "field", field)
@@ -87,7 +70,6 @@ class KummerCurve:
         alphas = tuple(sorted(roots_in_field(f), key=lambda a: a.enc))
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "_places", None)
-        object.__setattr__(self, "_cofactors", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("KummerCurve is immutable")
@@ -115,7 +97,7 @@ class KummerCurve:
             raise ValueError(
                 f"ramified place index {index} out of range 1..{len(self.alphas)}"
             )
-        return Place.ramified(index, self.alphas[index - 1])
+        return Place.ramified(index)
 
     def rational_places(self) -> tuple[Place, ...]:
         """All degree-one places: P_inf, then the ramified places in
@@ -124,8 +106,7 @@ class KummerCurve:
         if self._places is not None:
             return self._places
         places = [Place.infinity()]
-        for i, a in enumerate(self.alphas, start=1):
-            places.append(Place.ramified(i, a))
+        places += [Place.ramified(i) for i in range(1, len(self.alphas) + 1)]
         power_of = {}
         for b in self.field.elements():
             power_of.setdefault((b ** self.m).enc, []).append(b)
@@ -139,37 +120,6 @@ class KummerCurve:
         out = tuple(places)
         object.__setattr__(self, "_places", out)
         return out
-
-    def cofactor(self, index: int) -> Polynomial:
-        """f(x) / (x - alpha_index), used when evaluating at P_index."""
-        if index not in self._cofactors:
-            alpha = self.alphas[index - 1]
-            linear = Polynomial(self.field, [-alpha, self.field.one()])
-            quot, rem = divmod(self.f, linear)
-            assert rem.is_zero()
-            self._cofactors[index] = quot
-        return self._cofactors[index]
-
-    def principal_divisors(self) -> PrincipalDivisors:
-        m, lam, r = self.m, self.lam, self.r
-        x_div = {
-            i: Divisor(coeff_inf=-m, coeffs={i: m})
-            for i in range(1, len(self.alphas) + 1)
-        }
-        all_places = {i: 1 for i in range(1, r + 1)}
-        y_div = Divisor(coeff_inf=-r * lam, coeffs={i: lam for i in all_places})
-        f_div = Divisor(coeff_inf=-r * m, coeffs={i: m for i in all_places})
-        z_div = Divisor(coeff_inf=-r, coeffs=all_places)
-        if lam == 1:
-            num = 1
-        else:
-            num = pow(m, -1, lam)
-        den = (num * m - 1) // lam
-        assert num >= 1 and den >= 1 and num * m - den * lam == 1
-        return PrincipalDivisors(
-            x_minus_alpha=x_div, y=y_div, f=f_div, z=z_div,
-            z_num_pow=num, z_den_pow=den,
-        )
 
 
 def make_curve(field: Field, m: int, lam: int, f: Polynomial) -> KummerCurve:

@@ -137,13 +137,16 @@ def _exp_table(p: int, e: int, modulus: tuple[int, ...]) -> list[int]:
 @dataclass(frozen=True)
 class FieldTables:
     """Dense lookup tables on canonical encodings, derived from the
-    exp/log/Zech lists, so the matrix layer's hot loops run on numpy arrays.
+    exp/log/Zech lists, so the matrix layer's hot loops run on numpy arrays;
+    exp and log serve its gathers in the exponent domain.
     """
 
     add: np.ndarray   # add[i, j] = enc(a_i + a_j)
     mul: np.ndarray   # mul[i, j] = enc(a_i * a_j)
     neg: np.ndarray   # neg[i]    = enc(-a_i)
     inv: np.ndarray   # inv[i]    = enc(a_i**-1); inv[0] = 0 (unused)
+    exp: np.ndarray   # exp[n]    = enc(g**n), 0 <= n < 2*(q - 1)
+    log: np.ndarray   # log[i]    = n with a_i = g**n; log[0] = -1 (unused)
 
 
 # largest field order, and largest order with dense q x q tables (16*q**2 bytes)
@@ -272,7 +275,8 @@ class Field:
             add[rows, 1:] = np.where(z < 0, 0, exp[z + log_a])
         inv = np.zeros(q, dtype=np.int64)
         inv[1:] = exp[order - logs]
-        tabs = FieldTables(add=add, mul=mul, neg=np.array(self._neg, dtype=np.int64), inv=inv)
+        tabs = FieldTables(add=add, mul=mul, neg=np.array(self._neg, dtype=np.int64), inv=inv,
+                           exp=exp, log=np.array(self._log, dtype=np.int64))
         object.__setattr__(self, "_tables", tabs)
         return tabs
 

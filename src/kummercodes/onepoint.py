@@ -45,10 +45,6 @@ class NumericalSemigroup:
         raise AttributeError("NumericalSemigroup is immutable")
 
     @classmethod
-    def from_gaps(cls, gaps: Iterable[int]) -> "NumericalSemigroup":
-        return cls(gaps)
-
-    @classmethod
     def from_generators(cls, generators: Iterable[int]) -> "NumericalSemigroup":
         """Sieve the monoid generated by the given positive integers.
 
@@ -136,8 +132,9 @@ def is_gap(curve: "KummerCurve", place: "Place", s: int) -> bool:
 
     At a place over a root of f the residue criterion applies: with t the
     unique solution of s + lambda*t = 0 mod m in [0, m), s is a gap iff
-    r * (t*lambda mod m) > m * (1 + floor((s-1)/m)).  Multiples of m give
-    t = 0 and are never gaps.
+    r * (t*lambda mod m) > m * (1 + floor((s-1)/m)).  As t*lambda = -s
+    mod m, that reads r * (-s mod m) > m * (1 + floor((s-1)/m)), a function
+    of (m, r) alone for every lambda.  Multiples of m are never gaps.
 
     At P_inf the pole numbers form <m, r>, so the criterion above does not
     apply (it describes the finite ramified places); membership in <m, r>
@@ -146,11 +143,10 @@ def is_gap(curve: "KummerCurve", place: "Place", s: int) -> bool:
     _require_ramified(place, allow_infinity=True)
     if s < 0:
         raise ValueError("s must be non-negative")
-    m, r, lam = curve.m, curve.r, curve.lam
+    m, r = curve.m, curve.r
     if place.kind == "infinity":
         return s not in semigroups(m, r)[0]
-    t = (-s * pow(lam, -1, m)) % m
-    return r * ((t * lam) % m) > m * (1 + (s - 1) // m)
+    return r * (-s % m) > m * (1 + (s - 1) // m)
 
 
 @lru_cache(maxsize=None)
@@ -162,7 +158,7 @@ def semigroups(m: int, r: int) -> tuple[NumericalSemigroup, NumericalSemigroup]:
     for i in range(0, m - 1 - m // r):
         for j in range(0, r - 1 - (r * (i + 1)) // m):
             gaps.append(1 + i + m * j)
-    return NumericalSemigroup.from_generators((m, r)), NumericalSemigroup.from_gaps(gaps)
+    return NumericalSemigroup.from_generators((m, r)), NumericalSemigroup(gaps)
 
 
 def semigroup_at(curve: "KummerCurve", place: "Place") -> NumericalSemigroup:

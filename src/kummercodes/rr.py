@@ -196,7 +196,8 @@ class BasisFunction:
             if i != place.index:
                 val = val * (alpha - curve.alphas[i - 1]) ** (-e)
         if self.f_pow:
-            val = val * curve.cofactor(place.index)(alpha) ** (-self.f_pow)
+            # f = (x - alpha) * h with h(alpha) = f'(alpha), over any field
+            val = val * curve.f.derivative()(alpha) ** (-self.f_pow)
         return val
 
     def __str__(self):

@@ -172,14 +172,16 @@ def enumerate_pure_gaps(curve: "KummerCurve", bound: int | None = None) -> tuple
 
     Every pure-gap coordinate pair satisfies a + b <= 2g - 1, so any bound
     of at least 2g - 1 already captures the full set; the bound exists
-    because no two-point analogue of the conductor is available.
+    because no two-point analogue of the conductor is available.  The scan
+    stops at 4g, so a larger bound costs no more than the default.
     """
     if bound is None:
         bound = 4 * curve.genus
     if bound < 1:
         raise ValueError("bound must be >= 1")
     m, r = curve.m, curve.r
-    return tuple((a, b) for a in range(1, bound + 1) for b in range(1, bound + 1)
+    top = min(bound, 4 * curve.genus)
+    return tuple((a, b) for a in range(1, top + 1) for b in range(1, top + 1)
                  if floor_pure_gap(m, r, a, b))
 
 
@@ -274,29 +276,10 @@ def best_pure_gap_box(
         raise ValueError(
             "no pure-gap rectangle designs a divisor with 2g - 2 < deg G < n"
         )
-    best = None
-    for design in candidates.values():
-        if best is None:
-            best = design
-            continue
-        key_new = (designed_key(design, objective))
-        key_old = (designed_key(best, objective))
-        if key_new > key_old:
-            best = design
-        elif key_new == key_old and _box_tuple(design) < _box_tuple(best):
-            best = design
-    return best
-
-
-def designed_key(design: BoxDesign, objective: Callable[[BoxDesign], object] | None):
-    if objective is not None:
-        return (objective(design),)
-    return (design.designed_distance, design.k)
-
-
-def _box_tuple(design: BoxDesign) -> tuple[int, int, int, int]:
-    b = design.box
-    return (b.beta, b.gamma, b.t1, b.t2)
+    # max keeps the first of equal keys: the smallest box
+    boxes = sorted(candidates, key=lambda b: (b.beta, b.gamma, b.t1, b.t2))
+    return max((candidates[b] for b in boxes),
+               key=objective or (lambda d: (d.designed_distance, d.k)))
 
 
 def box_for_divisor(curve: "KummerCurve", inf_coeff: int, place_coeff: int) -> PureGapBox | None:
@@ -304,9 +287,13 @@ def box_for_divisor(curve: "KummerCurve", inf_coeff: int, place_coeff: int) -> P
 
     Scans all (t1, t2) with matching parity, keeping the rectangle with the
     largest t1 + t2 whose points are all pure gaps; None when no rectangle
-    fits, in which case only the plain Goppa bound applies to G.
+    fits, in which case only the plain Goppa bound applies to G.  Pure-gap
+    coordinates are at most 2g - 1, so a box designs coefficients
+    2*beta + t1 - 1 <= 2*(beta + t1) - 1 <= 4g - 3, and larger ones get None
+    without a scan.
     """
-    if inf_coeff < 1 or place_coeff < 1:
+    top = 4 * curve.genus - 3
+    if not (1 <= inf_coeff <= top and 1 <= place_coeff <= top):
         return None
     best: PureGapBox | None = None
     for t1 in range(inf_coeff + 1):

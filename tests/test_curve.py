@@ -1,8 +1,14 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import kummercodes
 from kummercodes import Polynomial, make_curve, make_field, mth_roots
 from kummercodes.curve import ConfigError, load_curve, parse_curve_config
-from kummercodes.rr import Divisor
 
 
 def test_reference_curve_parameters(curve_y3_x5x, curve_y9_quartic, curve_y6_x5x):
@@ -52,7 +58,8 @@ def test_place_ordering_and_kinds(curve_y3_x5x):
     assert places[0].kind == "infinity"
     ram = [p for p in places if p.kind == "ramified"]
     assert [p.index for p in ram] == [1, 2, 3, 4, 5]
-    assert [p.alpha.enc for p in ram] == sorted(p.alpha.enc for p in ram)
+    centres = [curve_y3_x5x.alphas[p.index - 1].enc for p in ram]
+    assert centres == sorted(centres)
     ordinary = [p for p in places if p.kind == "ordinary"]
     keys = [(p.x.enc, p.y.enc) for p in ordinary]
     assert keys == sorted(keys)
@@ -81,34 +88,11 @@ def test_place_census_against_root_scan(curve_y3_x5x):
 
 def test_ramified_place_accessors(curve_y3_x5x):
     p1 = curve_y3_x5x.ramified_place(1)
-    assert p1.kind == "ramified" and p1.alpha.enc == 0
+    assert p1.kind == "ramified" and curve_y3_x5x.alphas[p1.index - 1].enc == 0
     with pytest.raises(ValueError):
         curve_y3_x5x.ramified_place(6)
     assert curve_y3_x5x.place_infinity().label() == "P_inf"
     assert p1.label() == "P_1"
-
-
-def test_principal_divisors(curve_y3_x5x):
-    c = curve_y3_x5x
-    pd = c.principal_divisors()
-    for div in [pd.y, pd.f, pd.z, *pd.x_minus_alpha.values()]:
-        assert div.degree == 0
-    assert pd.x_minus_alpha[1] == Divisor(-3, {1: 3})
-    assert pd.y == Divisor(-5, {i: 1 for i in range(1, 6)})
-    assert pd.f == Divisor(-15, {i: 3 for i in range(1, 6)})
-    # z = f^a / y^b realizes the pole divisor r*P_inf
-    assert pd.z_num_pow == 1 and pd.z_den_pow == 2  # lambda = 1, b = m - 1
-    assert pd.z == Divisor(-5, {i: 1 for i in range(1, 6)})
-    assert pd.z_num_pow * pd.f + (-pd.z_den_pow) * pd.y == pd.z
-
-
-def test_principal_divisors_general_lambda():
-    f7 = make_field(7)
-    c = make_curve(f7, 5, 2, Polynomial.from_roots(f7, [0, 1, 2]))
-    pd = c.principal_divisors()
-    assert pd.z_num_pow * c.m - pd.z_den_pow * c.lam == 1
-    assert pd.z_num_pow * pd.f + (-pd.z_den_pow) * pd.y == pd.z
-    assert pd.z.coeff_inf == -c.r
 
 
 def test_curve_with_no_rational_branch_points(f25):
@@ -169,3 +153,26 @@ def test_curve_hashable(curve_y3_x5x, f25):
     assert same == curve_y3_x5x
     assert hash(same) == hash(curve_y3_x5x)
     assert len({same, curve_y3_x5x}) == 1
+
+
+def test_theory_path_does_not_import_numpy(tmp_path):
+    # numpy is the code layer's; the theory queries and load_curve must not
+    # pull it (or kummercodes.code) in.  A fresh process, as pytest's own
+    # process has imported both.
+    path = tmp_path / "curve.cfg"
+    path.write_text("p = 2\ne = 6\nm = 9\nlambda = 1\nf = 0,1,1,0,1\n", encoding="utf-8")
+    script = (
+        "import json, sys\n"
+        "import kummercodes as kc\n"
+        f"c = kc.load_curve({str(path)!r})\n"
+        "kc.semigroup_at(c, c.place_infinity()), kc.semigroup_at(c, c.ramified_place(1))\n"
+        "kc.gap_graph(c), kc.enumerate_pure_gaps(c), kc.is_member(c, 10, 10)\n"
+        "print(json.dumps([m for m in ('numpy', 'kummercodes.code') if m in sys.modules]))\n"
+    )
+    src = str(Path(kummercodes.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == []

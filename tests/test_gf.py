@@ -301,6 +301,10 @@ def test_tables_agree_with_scalar_operators(p, e):
         assert arr.dtype == "int64" and arr.shape == shape
     assert t.neg.tolist() == [(-a).enc for a in els]
     assert t.inv.tolist() == [0] + [a.inverse().enc for a in els[1:]]
+    g, order = els[int(t.exp[1])], field.q - 1
+    assert t.exp.tolist() == [(g ** n).enc for n in range(2 * order)]
+    assert t.log[0] == -1 and sorted(t.log[1:].tolist()) == list(range(order))
+    assert all(t.exp[t.log[a.enc]] == a.enc for a in els[1:])
     for a in els:
         assert t.add[a.enc].tolist() == [(a + b).enc for b in els]
         assert t.mul[a.enc].tolist() == [(a * b).enc for b in els]

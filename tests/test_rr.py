@@ -171,3 +171,25 @@ def test_basis_function_strings():
     assert str(fn) == "x^2 * y^3 * (x-a1)^-2 * f^-1"
     assert str(BasisFunction(y_pow=0, x_pow=0, denom=(), f_pow=0)) == "1"
     assert str(BasisFunction(y_pow=1, x_pow=1, denom=(), f_pow=0)) == "x * y"
+
+
+def test_evaluate_ramified_f_power():
+    # x**j / h_i**s with h_i = f // (x - alpha_i) is x**j * (x - alpha_i)**s / f**s,
+    # which rr.basis never builds; at P_i it takes the value alpha_i**j * h_i(alpha_i)**-s
+    f7, f16, f64 = make_field(7), make_field(2, 4), make_field(2, 6)
+    curves = [
+        make_curve(f7, 4, 1, Polynomial(f7, [0, 6, 5, 3])),     # 3x(x-1)(x-2), not monic
+        make_curve(f7, 3, 2, Polynomial(f7, [6, 0, 1])),        # y^3 = (x^2 - 1)^2
+        make_curve(f16, 5, 3, Polynomial(f16, [1, 1, 1])),      # characteristic 2
+        make_curve(f64, 9, 1, Polynomial(f64, [0, 1, 1, 0, 1])),
+    ]
+    for c in curves:
+        assert c.alphas
+        for i, alpha in enumerate(c.alphas, start=1):
+            h, rem = divmod(c.f, Polynomial(c.field, [-alpha, c.field.one()]))
+            assert rem.is_zero()
+            for s in (1, 2, 3):
+                for j in range(4 if not alpha.is_zero() else 1):
+                    fn = BasisFunction(y_pow=0, x_pow=j, denom=((i, -s),), f_pow=s)
+                    value = fn.evaluate(c, c.ramified_place(i))
+                    assert value == alpha ** j * h(alpha) ** (-s), (c, i, s, j)

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from kummercodes import Polynomial, make_curve, make_field
@@ -192,3 +194,53 @@ def test_box_divisor_coefficients():
     box = PureGapBox(beta=10, gamma=10, t1=0, t2=0)
     assert box.divisor_coefficients() == (19, 19)
     assert list(PureGapBox(1, 2, 1, 0).points()) == [(1, 2), (2, 2)]
+
+
+def _pure_gaps_reference(curve, bound):
+    """The scan of every pair in [1, bound]^2, with no cap."""
+    return tuple((a, b) for a in range(1, bound + 1) for b in range(1, bound + 1)
+                 if floor_pure_gap(curve.m, curve.r, a, b))
+
+
+def _box_reference(curve, inf_coeff, place_coeff):
+    """box_for_divisor's scan of every (t1, t2), with no cap on the coefficients."""
+    best = None
+    for t1 in range(inf_coeff + 1):
+        beta, odd = divmod(inf_coeff + 1 - t1, 2)
+        for t2 in range(place_coeff + 1):
+            gamma, odd2 = divmod(place_coeff + 1 - t2, 2)
+            if odd or odd2 or beta < 1 or gamma < 1:
+                continue
+            if best is not None and t1 + t2 <= best.t1 + best.t2:
+                continue
+            box = PureGapBox(beta, gamma, t1, t2)
+            if all(floor_pure_gap(curve.m, curve.r, a, b) for a, b in box.points()):
+                best = box
+    return best
+
+
+def test_pure_gap_searches_match_unbounded_reference(
+        curve_y3_x5x, curve_y6_x5x, curve_y9_quartic, grid_curves):
+    # every pure gap lies in G(P_inf) x G(P), so coordinates stop at 2g - 1
+    # and a box designs coefficients up to 4g - 3: the caps lose nothing
+    for c in [curve_y3_x5x, curve_y6_x5x, curve_y9_quartic, *grid_curves[::9]]:
+        g = c.genus
+        for bound in (2 * g - 1, 4 * g - 1, 4 * g, 4 * g + 1, 4 * g + 5):
+            assert enumerate_pure_gaps(c, bound) == _pure_gaps_reference(c, bound)
+        # the largest coefficients a box reaches here, and those around 4g - 3
+        widest = max((2 * max(pair) - 1 for pair in _pure_gaps_reference(c, 4 * g)), default=1)
+        coeffs = {1, 2, g, *range(widest - 2, widest + 3), *range(4 * g - 6, 4 * g + 3)}
+        coeffs = sorted(n for n in coeffs if n >= 1)
+        for a in coeffs:
+            for b in coeffs:
+                assert box_for_divisor(c, a, b) == _box_reference(c, a, b), (c, a, b)
+
+
+def test_pure_gap_searches_bounded_by_genus(curve_y9_quartic, curve_y3_x5x):
+    start = time.perf_counter()
+    assert enumerate_pure_gaps(curve_y9_quartic, 10 ** 5) == enumerate_pure_gaps(curve_y9_quartic)
+    assert box_for_divisor(curve_y3_x5x, 10 ** 5, 10 ** 5) is None
+    assert box_for_divisor(curve_y9_quartic, 19, 10 ** 5) is None
+    assert box_for_divisor(curve_y9_quartic, 10 ** 5, 19) is None
+    # the uncapped scans of these inputs take minutes
+    assert time.perf_counter() - start < 5
