@@ -42,8 +42,8 @@ from .twopoint import (
 
 __version__ = "0.1.0"
 
-_CODE_NAMES = ("LinearCode", "designed_distance", "evaluation_code",
-               "exact_min_distance", "residue_code", "shorten")
+_CODE_NAMES = ("LinearCode", "evaluation_code", "exact_min_distance",
+               "residue_code", "shorten")
 
 
 def __getattr__(name):
@@ -71,7 +71,6 @@ __all__ = [
     "box_for_divisor",
     "check_consecutive_form",
     "consecutive_genus",
-    "designed_distance",
     "enumerate_pure_gaps",
     "evaluation_code",
     "exact_min_distance",

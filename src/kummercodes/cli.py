@@ -103,15 +103,6 @@ def _parse_divisor(curve: KummerCurve, spec: str) -> rr.Divisor:
     return rr.Divisor(coeff_inf, coeffs)
 
 
-def _format_divisor(D: rr.Divisor) -> str:
-    parts = []
-    if D.coeff_inf:
-        parts.append(f"{D.coeff_inf}P_inf")
-    for i, c in D.coeffs:
-        parts.append(f"{c}P_{i}")
-    return " + ".join(parts) if parts else "0"
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -203,15 +194,11 @@ def cmd_code(args) -> int:
     G = _parse_divisor(curve, args.G)
     budget = _budget(args)
     if args.omega:
-        box = None
-        supp = G.support_indices
-        if len(supp) == 1 and G.coeff_inf >= 1:
-            box = twopoint.box_for_divisor(curve, G.coeff_inf, G.coeff(supp[0]))
-        lin = codemod.residue_code(curve, G, box=box)
+        lin = codemod.residue_code(curve, G)
     else:
         lin = codemod.evaluation_code(curve, G)
     payload = lin.summary()
-    payload["G"] = _format_divisor(G)
+    payload["G"] = repr(G)
     payload["genus"] = curve.genus
     if args.exact_d:
         exact = codemod.exact_min_distance(lin, budget=budget)
@@ -281,7 +268,7 @@ def _verify_f64_y9_code(curve):
     G = rr.Divisor(19, {1: 19})
     box = twopoint.box_for_divisor(curve, 19, 19)
     _check("box", (box.beta, box.gamma, box.t1, box.t2), (10, 10, 0, 0))
-    om = codemod.residue_code(curve, G, box=box)
+    om = codemod.residue_code(curve, G)
     _check("[n,k]", (om.n, om.k), (255, 228))
     _check("designed d", om.designed_d, 18)
 
@@ -301,7 +288,7 @@ def _verify_f25_y6_code(curve):
     G = rr.Divisor(25, {1: 1})
     box = twopoint.box_for_divisor(curve, 25, 1)
     _check("box", (box.beta, box.gamma, box.t1, box.t2), (13, 1, 0, 0))
-    om = codemod.residue_code(curve, G, box=box)
+    om = codemod.residue_code(curve, G)
     _check("[n,k]", (om.n, om.k), (124, 107))
     _check("designed d", om.designed_d, 10)
 

@@ -3,7 +3,9 @@
 Evaluation codes come from evaluating a Riemann-Roch basis at every rational
 place outside the divisor support; residue codes are their duals, computed
 as nullspaces.  Generator matrices are canonical reduced row-echelon forms
-over F_q so identical inputs give byte-identical output.
+over F_q so identical inputs give byte-identical output.  A residue code
+finds its own pure-gap box for G (twopoint.box_for_divisor) and takes the
+Homma-Kim bound of that box, else the Goppa bound deg G - (2g - 2).
 
 Matrix work runs on numpy arrays of canonical encodings through the exact
 field lookup tables, on whole arrays: the basis is evaluated at the ordinary
@@ -25,9 +27,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from . import rr
+from . import rr, twopoint
 from .gf import Field
-from .twopoint import PureGapBox
 
 if TYPE_CHECKING:  # pragma: no cover
     from .curve import KummerCurve, Place
@@ -145,25 +146,11 @@ def field_matmul(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # code construction
 
 
-def _support_places(curve: "KummerCurve", G: rr.Divisor):
-    named = len(curve.alphas)
-    for i, _ in G.coeffs:
-        if i > named:
-            raise ValueError(
-                f"G touches P_{i}, whose center is outside F_q; codes need "
-                "rational divisor support"
-            )
-    supp = set()
-    if G.coeff_inf:
-        supp.add(("infinity", 0))
-    for i, _ in G.coeffs:
-        supp.add(("ramified", i))
-    return supp
-
-
 def evaluation_places(curve: "KummerCurve", G: rr.Divisor):
     """The rational places outside supp(G), in the canonical order."""
-    supp = _support_places(curve, G)
+    supp = {("ramified", i) for i in G.support_indices}
+    if G.coeff_inf:
+        supp.add(("infinity", 0))
     return [p for p in curve.rational_places() if (p.kind, p.index) not in supp]
 
 
@@ -228,12 +215,12 @@ def evaluation_code(curve: "KummerCurve", G: rr.Divisor) -> LinearCode:
     )
 
 
-def residue_code(curve: "KummerCurve", G: rr.Divisor, box: PureGapBox | None = None) -> LinearCode:
+def residue_code(curve: "KummerCurve", G: rr.Divisor) -> LinearCode:
     """The dual of the evaluation code for G.
 
-    With no box the designed distance is deg G - (2g - 2); with a verified
-    pure-gap box matching G it improves to the two-point bound
-    deg G - (2g - 2) + t1 + t2 + 2.
+    Its designed distance is the Goppa bound deg G - (2g - 2), raised to
+    PureGapBox.bound when G = a*P_inf + b*P_i with a >= 1 has a pure-gap
+    box (twopoint.box_for_divisor).
     """
     primal = evaluation_code(curve, G)
     gen = nullspace(curve.field, primal.gen)
@@ -242,33 +229,18 @@ def residue_code(curve: "KummerCurve", G: rr.Divisor, box: PureGapBox | None = N
             f"the residue code is trivial: the evaluation code for G is all "
             f"of F_q^{primal.n} (k = 0)"
         )
-    kind = HOMMA_KIM if box is not None else GOPPA_OMEGA
+    box = None
+    supp = G.support_indices
+    if len(supp) == 1 and G.coeff_inf >= 1:
+        box = twopoint.box_for_divisor(curve, G.coeff_inf, G.coeff(supp[0]))
+    if box is None:
+        designed, kind = G.degree - (2 * curve.genus - 2), GOPPA_OMEGA
+    else:
+        designed, kind = box.bound(curve.genus), HOMMA_KIM
     return LinearCode(
         field=curve.field, n=primal.n, k=gen.shape[0], gen=gen,
-        designed_d=designed_distance(curve, G, kind, box), d_kind=kind,
+        designed_d=designed, d_kind=kind,
     )
-
-
-def designed_distance(curve: "KummerCurve", G: rr.Divisor, kind: str,
-                      box: PureGapBox | None = None) -> int:
-    """Provable lower bound on the minimum distance for the given divisor."""
-    g = curve.genus
-    if kind == GOPPA_L:
-        return len(evaluation_places(curve, G)) - G.degree
-    if kind == GOPPA_OMEGA:
-        return G.degree - (2 * g - 2)
-    if kind == HOMMA_KIM:
-        if box is None:
-            raise ValueError("the two-point bound needs a pure-gap box")
-        a, b = box.divisor_coefficients()
-        supp = G.support_indices
-        if G.coeff_inf != a or len(supp) != 1 or G.coeff(supp[0]) != b:
-            raise ValueError(
-                f"G = {G!r} does not match the box divisor "
-                f"{a}*P_inf + {b}*P"
-            )
-        return G.degree - (2 * g - 2) + box.t1 + box.t2 + 2
-    raise ValueError(f"unknown distance kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

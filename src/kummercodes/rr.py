@@ -92,10 +92,11 @@ class Divisor:
         return hash((self.coeff_inf, self.coeffs))
 
     def __repr__(self):
-        parts = [f"{c}*P_{i}" for i, c in self.coeffs]
-        if self.coeff_inf or not parts:
-            parts.insert(0, f"{self.coeff_inf}*P_inf")
-        return " + ".join(parts)
+        """The CLI form: '19P_inf + 19P_1', and '0' for the zero divisor."""
+        parts = [f"{c}P_{i}" for i, c in self.coeffs]
+        if self.coeff_inf:
+            parts.insert(0, f"{self.coeff_inf}P_inf")
+        return " + ".join(parts) or "0"
 
 
 def dim(curve: "KummerCurve", D: Divisor) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from .gf import is_prime
 from .onepoint import semigroups
@@ -63,6 +63,11 @@ class PureGapBox:
     def divisor_coefficients(self) -> tuple[int, int]:
         """(a, b) with G = a*P_inf + b*P the divisor this box designs."""
         return 2 * self.beta + self.t1 - 1, 2 * self.gamma + self.t2 - 1
+
+    def bound(self, genus: int) -> int:
+        """Homma-Kim distance bound of the residue code C_Omega for the
+        divisor this box designs: deg G - (2g - 2) + t1 + t2 + 2."""
+        return sum(self.divisor_coefficients()) - (2 * genus - 2) + self.t1 + self.t2 + 2
 
 
 def gap_graph(curve: "KummerCurve") -> GapGraph:
@@ -234,25 +239,20 @@ def _grow_box(pure: set, beta: int, gamma: int, t1_first: bool) -> tuple[int, in
     return t1, t2
 
 
-def best_pure_gap_box(
-    curve: "KummerCurve",
-    n: int | None = None,
-    objective: Callable[[BoxDesign], object] | None = None,
-    bound: int | None = None,
-) -> BoxDesign:
+def best_pure_gap_box(curve: "KummerCurve", n: int | None = None) -> BoxDesign:
     """Search the pure-gap set for the rectangle designing the best code.
 
     Every pure gap seeds two greedily grown maximal rectangles (width first,
     then the transpose).  A rectangle [beta, beta+t1] x [gamma, gamma+t2]
     designs G = (2*beta+t1-1) P_inf + (2*gamma+t2-1) P with distance bound
-    deg G - (2g - 2) + t1 + t2 + 2, subject to 2g - 2 < deg G < n.
+    PureGapBox.bound, subject to 2g - 2 < deg G < n.
 
-    Default objective: maximize the designed distance, then the dimension
-    k = n + g - 1 - deg G, then lexicographically smallest box.
+    The best design has the largest designed distance, then the largest
+    dimension k = n + g - 1 - deg G, then the lexicographically smallest box.
     """
     if n is None:
         n = len(curve.rational_places()) - 2
-    pure_list = enumerate_pure_gaps(curve, bound)
+    pure_list = enumerate_pure_gaps(curve)
     if not pure_list:
         raise ValueError("no pure gaps found within the bound")
     pure = set(pure_list)
@@ -267,9 +267,8 @@ def best_pure_gap_box(
             deg_g = sum(box.divisor_coefficients())
             if not (2 * g - 2 < deg_g < n):
                 continue
-            designed = deg_g - (2 * g - 2) + t1 + t2 + 2
             candidates[box] = BoxDesign(
-                box=box, n=n, deg_G=deg_g, designed_distance=designed,
+                box=box, n=n, deg_G=deg_g, designed_distance=box.bound(g),
                 k=n + g - 1 - deg_g,
             )
     if not candidates:
@@ -279,7 +278,7 @@ def best_pure_gap_box(
     # max keeps the first of equal keys: the smallest box
     boxes = sorted(candidates, key=lambda b: (b.beta, b.gamma, b.t1, b.t2))
     return max((candidates[b] for b in boxes),
-               key=objective or (lambda d: (d.designed_distance, d.k)))
+               key=lambda d: (d.designed_distance, d.k))
 
 
 def box_for_divisor(curve: "KummerCurve", inf_coeff: int, place_coeff: int) -> PureGapBox | None:

@@ -78,7 +78,7 @@ def test_criterion_2_f64_two_point_code(curve_y9_quartic):
     G = Divisor(19, {1: 19})
     box = box_for_divisor(c, 19, 19)
     assert (box.beta, box.gamma, box.t1, box.t2) == (10, 10, 0, 0)
-    code = residue_code(c, G, box=box)
+    code = residue_code(c, G)
     assert (code.n, code.k) == (255, 228)
     assert code.designed_d == 18
     # exact minimum distance is out of enumeration reach and not claimed
@@ -109,7 +109,7 @@ def test_criterion_3_f25_two_point_code(curve_y6_x5x):
     G = Divisor(25, {1: 1})
     box = box_for_divisor(c, 25, 1)
     assert (box.beta, box.gamma, box.t1, box.t2) == (13, 1, 0, 0)
-    code = residue_code(c, G, box=box)
+    code = residue_code(c, G)
     assert (code.n, code.k) == (124, 107)
     assert code.designed_d == 10  # the lower bound; exactness is out of scope
 

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import kummercodes
 from kummercodes.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -131,6 +134,20 @@ def test_code_omega_with_box_upgrade(capsys, cfg_dir):
     assert (payload["n"], payload["k"]) == (124, 107)
     assert payload["designed_d"] == 10
 
+    # g = 12 on f64_y9: the box lookup covers the finite index of any
+    # a*P_inf + b*P_i, and no box reaches a coefficient past 4g - 3 = 45
+    for spec, kind, designed_d in (
+        ("19P_inf + 19P_2", "homma_kim", 18),
+        ("19P_inf + 46P_1", "goppa_omega", 65 - 22),
+        ("40P_inf", "goppa_omega", 40 - 22),
+    ):
+        code, out, _ = run_cli(
+            capsys, "code", "--curve", str(cfg_dir / "f64_y9.cfg"), "--G", spec, "--omega",
+        )
+        payload = json.loads(out)
+        assert code == EXIT_OK and payload["G"] == spec
+        assert payload["d_kind"] == kind and payload["designed_d"] == designed_d
+
 
 def test_code_budget_notice(capsys, cfg_dir, monkeypatch):
     monkeypatch.setenv("KUMMER_BUDGET", "100")
@@ -237,10 +254,11 @@ def test_verify_paper_tampered_fixture(capsys, tmp_path):
 
 
 def test_console_entry_point(cfg_dir):
+    src = str(Path(kummercodes.__file__).resolve().parents[1])
     result = subprocess.run(
         [sys.executable, "-m", "kummercodes.cli", "semigroup",
          "--curve", str(cfg_dir / "f25_y3.cfg")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
     )
     assert result.returncode == EXIT_OK
     assert json.loads(result.stdout)["generators"] == [3, 5]

@@ -19,7 +19,6 @@ from kummercodes.code import (
     GOPPA_OMEGA,
     HOMMA_KIM,
     LinearCode,
-    designed_distance,
     evaluation_code,
     evaluation_matrix,
     evaluation_places,
@@ -31,7 +30,6 @@ from kummercodes.code import (
     shorten,
 )
 from kummercodes.rr import Divisor, basis, dim
-from kummercodes.twopoint import PureGapBox, box_for_divisor
 
 
 def test_rref_and_nullspace_small():
@@ -71,6 +69,7 @@ def test_duality(curve_y3_x5x):
     assert cl.k + com.k == cl.n
     assert not field_matmul(curve_y3_x5x.field, cl.gen, com.gen.T).any()
     assert com.d_kind == GOPPA_OMEGA
+    assert com.designed_d == G.degree - (2 * curve_y3_x5x.genus - 2) == 0
 
 
 def test_trivial_divisor_codes(curve_y3_x5x):
@@ -82,8 +81,7 @@ def test_trivial_divisor_codes(curve_y3_x5x):
 
 def test_residue_code_reference_f64(curve_y9_quartic):
     G = Divisor(19, {1: 19})
-    box = box_for_divisor(curve_y9_quartic, 19, 19)
-    code = residue_code(curve_y9_quartic, G, box=box)
+    code = residue_code(curve_y9_quartic, G)
     assert (code.n, code.k) == (255, 228)
     assert code.designed_d == 18 and code.d_kind == HOMMA_KIM
     assert code.k == code.n + curve_y9_quartic.genus - 1 - G.degree
@@ -92,26 +90,12 @@ def test_residue_code_reference_f64(curve_y9_quartic):
 
 def test_residue_code_reference_f25(curve_y6_x5x):
     G = Divisor(25, {1: 1})
-    box = box_for_divisor(curve_y6_x5x, 25, 1)
-    code = residue_code(curve_y6_x5x, G, box=box)
+    code = residue_code(curve_y6_x5x, G)
     assert (code.n, code.k) == (124, 107)
     assert code.designed_d == 10
     primal = evaluation_code(curve_y6_x5x, G)
     assert primal.k + code.k == code.n
     assert not field_matmul(curve_y6_x5x.field, primal.gen, code.gen.T).any()
-
-
-def test_designed_distance_kinds(curve_y9_quartic):
-    G = Divisor(19, {1: 19})
-    assert designed_distance(curve_y9_quartic, G, GOPPA_OMEGA) == 16
-    box = PureGapBox(10, 10, 0, 0)
-    assert designed_distance(curve_y9_quartic, G, HOMMA_KIM, box) == 18
-    with pytest.raises(ValueError):
-        designed_distance(curve_y9_quartic, G, HOMMA_KIM)  # box required
-    with pytest.raises(ValueError):
-        designed_distance(curve_y9_quartic, Divisor(17, {1: 19}), HOMMA_KIM, box)
-    with pytest.raises(ValueError):
-        designed_distance(curve_y9_quartic, G, "unknown")
 
 
 def test_exact_min_distance_budget(curve_y3_x5x):
@@ -213,8 +197,7 @@ def test_exact_min_distance_reference_scan_is_bounded():
 
 def test_shorten(curve_y9_quartic, curve_y3_x5x):
     G = Divisor(19, {1: 19})
-    box = box_for_divisor(curve_y9_quartic, 19, 19)
-    code = residue_code(curve_y9_quartic, G, box=box)
+    code = residue_code(curve_y9_quartic, G)
     short = shorten(code, 29)
     assert (short.n, short.k) == (226, 199)
     assert short.designed_d == 18

@@ -167,11 +167,6 @@ def test_best_box_reference_curves(curve_y9_quartic, curve_y6_x5x):
     assert d3.designed_distance == 12 and d3.k == 106 and d3.n == 124
 
 
-def test_best_box_custom_objective(curve_y6_x5x):
-    design = best_pure_gap_box(curve_y6_x5x, objective=lambda d: d.k)
-    assert design.k >= 107
-
-
 def test_best_box_errors():
     f5 = make_field(5)
     g1 = make_curve(f5, 3, 1, Polynomial.from_roots(f5, [0, 1]))
