@@ -77,12 +77,7 @@ def _fp_mod(a: tuple[int, ...], mod: tuple[int, ...], p: int) -> tuple[int, ...]
 
 def _fp_is_irreducible(f: tuple[int, ...], p: int) -> bool:
     """Trial division by every monic polynomial of degree 1..deg(f)//2."""
-    deg = len(f) - 1
-    if deg <= 0:
-        return False
-    if f[0] == 0 and deg > 1:
-        return False  # divisible by x
-    for d in range(1, deg // 2 + 1):
+    for d in range(1, (len(f) - 1) // 2 + 1):
         for low in range(p ** d):
             cand = _decode_coeffs(low, p, d) + (1,)
             if not _fp_mod(f, cand, p):
@@ -157,29 +152,23 @@ TABLE_BLOCK = 2 ** 20
 
 
 class Field:
-    """The field F_q, q = p**e, with a fixed monic irreducible modulus.
+    """The field F_q, q = p**e, modulo the encoding-smallest monic
+    irreducible of degree e over F_p.
 
-    Instances are immutable and hashable.  Construct via :func:`make_field`
-    unless a specific modulus is wanted.
+    Instances are immutable and hashable; :func:`make_field` caches them.
     """
 
     __slots__ = ("p", "e", "q", "modulus", "_exp", "_log", "_zech", "_neg",
                  "_tables", "__weakref__")
 
-    def __init__(self, p: int, e: int, modulus: Sequence[int] | None = None):
+    def __init__(self, p: int, e: int):
         if e < 1:
             raise ValueError(f"extension degree must be >= 1, got {e}")
         if p <= MAX_Q and not is_prime(p):
             raise ValueError(f"characteristic must be prime, got {p}")
         if e > 16 or p ** e > MAX_Q:
             raise ValueError(f"q = {p}**{e} exceeds the field size cap MAX_Q = 2**16")
-        if modulus is None:
-            modulus = _smallest_irreducible(p, e)
-        modulus = _fp_trim(tuple(c % p for c in modulus))
-        if len(modulus) != e + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree e")
-        if not _fp_is_irreducible(modulus, p):
-            raise ValueError("modulus is not irreducible over F_p")
+        modulus = _smallest_irreducible(p, e)
         q = p ** e
         exp = _exp_table(p, e, modulus)
         log = [-1] * q          # log[0] = -1 becomes the zech entry where 1 + g**n = 0

@@ -3,9 +3,10 @@
 Divisors here live on the totally ramified places P_1..P_r (over the roots
 of f) and P_inf.  Such divisors are invariant under the Kummer automorphisms,
 so the space L(D) splits into y-power strata, each a genus-zero Riemann-Roch
-space of the restricted divisor on the rational subfield.  That makes the
-dimension a pure floor-arithmetic computation and gives an explicit monomial
-basis, with no linear algebra involved.
+space of the restricted divisor on the rational subfield.  One walk over
+the strata, with a floor per place of supp D, gives each stratum's degree:
+``dim`` sums them and ``basis`` expands them into monomials, with no linear
+algebra involved.
 
 The ``*_by_dims`` functions are the dimension oracles: they decide gap,
 two-point membership and pure-gap questions straight from the definitions,
@@ -99,30 +100,37 @@ class Divisor:
         return " + ".join(parts) or "0"
 
 
+def _strata(curve: "KummerCurve", D: Divisor):
+    """(t, shared, deg, denom) per non-empty y-power stratum t of L(D), which
+    holds x**j * y**t / (f**shared * prod (x - alpha_i)**e_i) for j <= deg.
+
+    shared = floor(t*lambda/m) is the floor at every place off supp D, so
+    only supp D gets its own floor; denom lists its nonzero (i, e_i).
+    """
+    m, lam, r = curve.m, curve.lam, curve.r
+    for i, _ in D.coeffs:
+        if i > r:
+            raise ValueError(f"place index {i} exceeds r={r}")
+    for t in range(m):
+        shared = (t * lam) // m
+        deg = (D.coeff_inf - t * r * lam) // m + r * shared
+        denom = []
+        for i, c in D.coeffs:
+            e = (c + t * lam) // m - shared
+            if e:
+                deg += e
+                denom.append((i, e))
+        if deg >= 0:
+            yield t, shared, deg, tuple(denom)
+
+
 def dim(curve: "KummerCurve", D: Divisor) -> int:
     """l(D), the dimension of the Riemann-Roch space of D.
 
     Sums genus-zero dimensions over the y-power strata; exact for any
     divisor supported on the distinguished places, any coefficient signs.
     """
-    m, lam, r = curve.m, curve.lam, curve.r
-    named = len(curve.alphas)
-    total = 0
-    for t in range(m):
-        deg = (D.coeff_inf - t * r * lam) // m
-        shared = (t * lam) // m
-        deg += (r - named) * shared
-        for i in range(1, named + 1):
-            deg += (D.coeff(i) + t * lam) // m
-        for i, c in D.coeffs:
-            if i > named:
-                if i > r:
-                    raise ValueError(f"place index {i} exceeds r={r}")
-                # replace the default floor at an unnamed conjugate place
-                deg += (c + t * lam) // m - shared
-        if deg >= 0:
-            total += deg + 1
-    return total
+    return sum(deg + 1 for _, _, deg, _ in _strata(curve, D))
 
 
 @dataclass(frozen=True)
@@ -235,7 +243,6 @@ def basis(curve: "KummerCurve", D: Divisor) -> RRBasis:
     unnamed conjugate roots never need individual factors because they all
     carry the same stratum coefficient, which groups into a power of f.
     """
-    m, lam, r = curve.m, curve.lam, curve.r
     named = len(curve.alphas)
     for i, _ in D.coeffs:
         if i > named:
@@ -243,24 +250,10 @@ def basis(curve: "KummerCurve", D: Divisor) -> RRBasis:
                 f"divisor touches place P_{i} whose center is not in F_q; "
                 "no rational basis is available"
             )
-    funcs = []
-    for t in range(m):
-        shared = (t * lam) // m
-        c_inf = (D.coeff_inf - t * r * lam) // m
-        deg = c_inf + (r - named) * shared
-        denom = {}
-        for i in range(1, named + 1):
-            ci = (D.coeff(i) + t * lam) // m
-            deg += ci
-            if ci != shared:
-                denom[i] = ci - shared
-        if deg < 0:
-            continue
-        denom_t = tuple(sorted(denom.items()))
-        for j in range(deg + 1):
-            funcs.append(BasisFunction(y_pow=t, x_pow=j, denom=denom_t, f_pow=shared))
-    assert len(funcs) == dim(curve, D)
-    return RRBasis(tuple(funcs))
+    return RRBasis(tuple(
+        BasisFunction(y_pow=t, x_pow=j, denom=denom, f_pow=shared)
+        for t, shared, deg, denom in _strata(curve, D) for j in range(deg + 1)
+    ))
 
 
 # ---------------------------------------------------------------------------

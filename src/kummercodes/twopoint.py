@@ -193,10 +193,14 @@ def enumerate_pure_gaps(curve: "KummerCurve", bound: int | None = None) -> tuple
 def verified_box(curve: "KummerCurve", beta: int, gamma: int, t1: int, t2: int) -> PureGapBox:
     """Build a PureGapBox after checking every lattice point is a pure gap."""
     box = PureGapBox(beta, gamma, t1, t2)
-    for a, b in box.points():
-        if not is_pure_gap(curve, a, b):
-            raise ValueError(f"({a}, {b}) is not a pure gap; rectangle rejected")
+    bad = _first_impure(curve, box)
+    if bad is not None:
+        raise ValueError(f"{bad} is not a pure gap; rectangle rejected")
     return box
+
+
+def _first_impure(curve: "KummerCurve", box: PureGapBox) -> tuple[int, int] | None:
+    return next((pt for pt in box.points() if not is_pure_gap(curve, *pt)), None)
 
 
 @dataclass(frozen=True)
@@ -282,34 +286,28 @@ def best_pure_gap_box(curve: "KummerCurve", n: int | None = None) -> BoxDesign:
 
 
 def box_for_divisor(curve: "KummerCurve", inf_coeff: int, place_coeff: int) -> PureGapBox | None:
-    """Best pure-gap rectangle matching G = inf_coeff*P_inf + place_coeff*P.
+    """Best pure-gap rectangle matching G = inf_coeff*P_inf + place_coeff*P
+    (largest t1 + t2, then smallest t1), or None: then only the plain Goppa
+    bound applies to G.
 
-    Scans all (t1, t2) with matching parity, keeping the rectangle with the
-    largest t1 + t2 whose points are all pure gaps; None when no rectangle
-    fits, in which case only the plain Goppa bound applies to G.  Pure-gap
+    The matching rectangles share one centre and nest, so the pure ones form
+    a staircase: the walk steps t1 up by 2 and only ever lowers t2.  Pure-gap
     coordinates are at most 2g - 1, so a box designs coefficients
-    2*beta + t1 - 1 <= 2*(beta + t1) - 1 <= 4g - 3, and larger ones get None
-    without a scan.
+    2*beta + t1 - 1 <= 2*(beta + t1) - 1 <= 4g - 3, and larger ones get None.
     """
     top = 4 * curve.genus - 3
     if not (1 <= inf_coeff <= top and 1 <= place_coeff <= top):
         return None
     best: PureGapBox | None = None
-    for t1 in range(inf_coeff + 1):
-        if (inf_coeff + 1 - t1) % 2:
-            continue
-        beta = (inf_coeff + 1 - t1) // 2
-        if beta < 1:
-            continue
-        for t2 in range(place_coeff + 1):
-            if (place_coeff + 1 - t2) % 2:
-                continue
-            gamma = (place_coeff + 1 - t2) // 2
-            if gamma < 1:
-                continue
-            box = PureGapBox(beta, gamma, t1, t2)
-            if best is not None and t1 + t2 <= best.t1 + best.t2:
-                continue
-            if all(is_pure_gap(curve, a, b) for a, b in box.points()):
-                best = box
+    t2 = place_coeff - 1
+    for t1 in range(1 - inf_coeff % 2, inf_coeff, 2):
+        while t2 >= 0:
+            box = PureGapBox((inf_coeff + 1 - t1) // 2, (place_coeff + 1 - t2) // 2, t1, t2)
+            if _first_impure(curve, box) is None:
+                break
+            t2 -= 2
+        if t2 < 0:
+            break
+        if best is None or t1 + t2 > best.t1 + best.t2:
+            best = box
     return best

@@ -228,6 +228,20 @@ def test_error_exit_codes(capsys, cfg_dir, tmp_path):
     assert code == EXIT_PRECONDITION and "divides" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("semigroup", "--place", "x"), "bad place selector 'x'; use 'inf' or an index"),
+    (("code", "--G", "5P_inf +"), "empty term in divisor spec"),
+    (("code", "--G", "xP_inf"), "bad coefficient in divisor term 'xP_inf'"),
+    (("code", "--G", "5P_a"), "bad place index in divisor term '5P_a'"),
+    (("code", "--G", "5P_9"), "place index 9 out of range 1..5"),
+    (("twopoint", "--place", "inf", "--gamma"), "the second point must be a finite ramified place"),
+    (("twopoint",), "choose one of --gamma, --pure-gaps, --member"),
+])
+def test_precondition_messages(capsys, cfg_dir, argv, message):
+    code, out, err = run_cli(capsys, *argv[:1], "--curve", str(cfg_dir / "f25_y3.cfg"), *argv[1:])
+    assert (code, out, err) == (EXIT_PRECONDITION, "", f"error[3]: {message}\n")
+
+
 def test_verify_paper_passes(capsys):
     code, out, _ = run_cli(capsys, "verify-paper")
     assert code == EXIT_OK

@@ -1,9 +1,15 @@
 import random
 from collections import Counter
+from functools import lru_cache
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kummercodes import Polynomial, make_curve, make_field
+from kummercodes.gf import is_prime
+from kummercodes.poly import is_separable, roots_in_field
 from kummercodes.rr import (
     BasisFunction,
     Divisor,
@@ -136,8 +142,77 @@ def test_basis_rejects_unnamed_support():
 
 
 def test_dim_rejects_index_beyond_r(curve_y3_x5x):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exceeds r=5"):
         dim(curve_y3_x5x, Divisor(0, {6: 1}))
+    with pytest.raises(ValueError, match="not in F_q"):
+        basis(curve_y3_x5x, Divisor(0, {6: 1}))
+
+
+def _dim_reference(curve, D):
+    """dim's former loop: a floor at every named place, the default floor
+    at each unnamed one, replaced where D has a coefficient."""
+    m, lam, r = curve.m, curve.lam, curve.r
+    named = len(curve.alphas)
+    total = 0
+    for t in range(m):
+        deg = (D.coeff_inf - t * r * lam) // m
+        shared = (t * lam) // m
+        deg += (r - named) * shared
+        for i in range(1, named + 1):
+            deg += (D.coeff(i) + t * lam) // m
+        for i, c in D.coeffs:
+            if i > named:
+                deg += (c + t * lam) // m - shared
+        if deg >= 0:
+            total += deg + 1
+    return total
+
+
+@lru_cache(maxsize=None)
+def _partly_split_curve(m, r, lam, named):
+    """y^m = f^lam, f = x(x-1)...(x-named+1) * h with h monic, separable, of
+    degree r - named and without roots, over the smallest prime p >= 3 not
+    dividing m (and >= named)."""
+    p = next(p for p in range(max(named, 3), 100) if is_prime(p) and m % p)
+    field = make_field(p)
+    f = Polynomial.from_roots(field, range(named))
+    d = r - named
+    if d:
+        candidates = (Polynomial(field, [(n // p ** i) % p for i in range(d)] + [1])
+                      for n in range(p ** d))
+        f = f * next(h for h in candidates if not roots_in_field(h) and is_separable(h))
+    c = make_curve(field, m, lam, f)
+    assert len(c.alphas) == named
+    return c
+
+
+@st.composite
+def divisors_on_curves(draw):
+    m = draw(st.integers(2, 12))
+    r = draw(st.integers(2, 6).filter(lambda r: gcd(m, r) == 1))
+    lam = draw(st.sampled_from([lam for lam in range(1, m) if gcd(m, lam) == 1]))
+    named = draw(st.sampled_from([r, *range(r - 1)]))
+    c = _partly_split_curve(m, r, lam, named)
+    support = draw(st.lists(st.integers(1, r), unique=True, max_size=3))
+    coeffs = {i: draw(st.integers(-3 * m, 4 * m)) for i in support}
+    return c, Divisor(draw(st.integers(-3 * m, 4 * c.genus + m)), coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(divisors_on_curves())
+def test_stratum_walk_matches_reference(case):
+    c, D = case
+    assert dim(c, D) == _dim_reference(c, D)
+    named = len(c.alphas)
+    if any(i > named for i in D.support_indices):
+        return
+    bas = basis(c, D)
+    assert bas.dimension == dim(c, D)
+    places = [c.place_infinity()] + [c.ramified_place(i) for i in range(1, named + 1)]
+    for fn in bas.functions:
+        for place in places:
+            bound = D.coeff_inf if place.kind == "infinity" else D.coeff(place.index)
+            assert fn.valuation(c, place) >= -bound, (fn, place)
 
 
 def test_gap_oracle(curve_y9_quartic):

@@ -1,4 +1,6 @@
+import random
 import time
+from functools import lru_cache
 
 import pytest
 
@@ -167,6 +169,14 @@ def test_best_box_reference_curves(curve_y9_quartic, curve_y6_x5x):
     assert d3.designed_distance == 12 and d3.k == 106 and d3.n == 124
 
 
+def test_box_design_to_dict(curve_y9_quartic):
+    # the benchmark's theory jobs hash this dict
+    assert best_pure_gap_box(curve_y9_quartic).to_dict() == {
+        "beta": 1, "gamma": 19, "t1": 0, "t2": 0, "inf_coeff": 1,
+        "place_coeff": 37, "degG": 38, "designed_d": 18, "k": 228,
+    }
+
+
 def test_best_box_errors():
     f5 = make_field(5)
     g1 = make_curve(f5, 3, 1, Polynomial.from_roots(f5, [0, 1]))
@@ -198,7 +208,9 @@ def _pure_gaps_reference(curve, bound):
 
 
 def _box_reference(curve, inf_coeff, place_coeff):
-    """box_for_divisor's scan of every (t1, t2), with no cap on the coefficients."""
+    """box_for_divisor's former scan of every (t1, t2), with no cap on the
+    coefficients; a rectangle is pure when it holds (t1 + 1)(t2 + 1) pure gaps."""
+    count = _pure_gap_counts(curve.m, curve.r, 1 << max(inf_coeff, place_coeff).bit_length())
     best = None
     for t1 in range(inf_coeff + 1):
         beta, odd = divmod(inf_coeff + 1 - t1, 2)
@@ -208,17 +220,30 @@ def _box_reference(curve, inf_coeff, place_coeff):
                 continue
             if best is not None and t1 + t2 <= best.t1 + best.t2:
                 continue
-            box = PureGapBox(beta, gamma, t1, t2)
-            if all(floor_pure_gap(curve.m, curve.r, a, b) for a, b in box.points()):
-                best = box
+            a, b = beta + t1, gamma + t2
+            inside = count[a][b] - count[beta - 1][b] - count[a][gamma - 1] + count[beta - 1][gamma - 1]
+            if inside == (t1 + 1) * (t2 + 1):
+                best = PureGapBox(beta, gamma, t1, t2)
     return best
+
+
+@lru_cache(maxsize=None)
+def _pure_gap_counts(m, r, size):
+    """count[a][b] = the number of pure gaps in [1, a] x [1, b], a, b <= size."""
+    count = [[0] * (size + 1) for _ in range(size + 1)]
+    for a in range(1, size + 1):
+        for b in range(1, size + 1):
+            count[a][b] = (count[a - 1][b] + count[a][b - 1] - count[a - 1][b - 1]
+                           + floor_pure_gap(m, r, a, b))
+    return count
 
 
 def test_pure_gap_searches_match_unbounded_reference(
         curve_y3_x5x, curve_y6_x5x, curve_y9_quartic, grid_curves):
     # every pure gap lies in G(P_inf) x G(P), so coordinates stop at 2g - 1
     # and a box designs coefficients up to 4g - 3: the caps lose nothing
-    for c in [curve_y3_x5x, curve_y6_x5x, curve_y9_quartic, *grid_curves[::9]]:
+    references = [curve_y3_x5x, curve_y6_x5x, curve_y9_quartic]
+    for c in [*references, *grid_curves[::9]]:
         g = c.genus
         for bound in (2 * g - 1, 4 * g - 1, 4 * g, 4 * g + 1, 4 * g + 5):
             assert enumerate_pure_gaps(c, bound) == _pure_gaps_reference(c, bound)
@@ -228,6 +253,12 @@ def test_pure_gap_searches_match_unbounded_reference(
         coeffs = sorted(n for n in coeffs if n >= 1)
         for a in coeffs:
             for b in coeffs:
+                assert box_for_divisor(c, a, b) == _box_reference(c, a, b), (c, a, b)
+    # the staircase walk finds the scan's box for every G up to just past the cap
+    for c in [*references, *random.Random(2015).sample(grid_curves, 5)]:
+        top = 4 * c.genus + 1
+        for a in range(1, top + 1):
+            for b in range(1, top + 1):
                 assert box_for_divisor(c, a, b) == _box_reference(c, a, b), (c, a, b)
 
 
@@ -239,3 +270,12 @@ def test_pure_gap_searches_bounded_by_genus(curve_y9_quartic, curve_y3_x5x):
     assert box_for_divisor(curve_y9_quartic, 10 ** 5, 19) is None
     # the uncapped scans of these inputs take minutes
     assert time.perf_counter() - start < 5
+    # genus 465: the staircase walk takes O(a + b) rectangle tests, where
+    # a test of every (t1, t2) took seconds
+    f37 = make_field(37)
+    c = make_curve(f37, 31, 1, Polynomial.from_roots(f37, range(32)))
+    assert c.genus == 465
+    for coeffs in ((465, 465), (900, 900)):
+        start = time.perf_counter()
+        assert box_for_divisor(c, *coeffs) is None
+        assert time.perf_counter() - start < 1
