@@ -7,8 +7,9 @@ over F_q so identical inputs give byte-identical output.  A residue code
 finds its own pure-gap box for G (twopoint.box_for_divisor) and takes the
 Homma-Kim bound of that box, else the Goppa bound deg G - (2g - 2).
 
-Matrix work runs on numpy arrays of canonical encodings through the exact
-field lookup tables, on whole arrays: the basis is evaluated at the ordinary
+Matrix work runs on numpy arrays of canonical encodings, in the field's
+encoding dtype (uint8 for q <= 256, else uint16), through the exact field
+lookup tables, on whole arrays: the basis is evaluated at the ordinary
 places one y-stratum at a time by exp/log gathers, and rref eliminates every
 row in one gather per pivot.  One rref of the columns in reverse order gives
 both the canonical dual (nullspace) and the coordinates a shortening drops;
@@ -34,7 +35,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from .curve import KummerCurve, Place
 
 DEFAULT_BUDGET = 2 ** 24
-# elements (rows * n) of the minimum-distance suffix table: 8 MiB as int64
+# elements (rows * n) of the minimum-distance suffix table: 1 MiB in uint8,
+# 2 MiB in uint16
 SCAN_CAP = 2 ** 20
 
 GOPPA_L = "goppa_L"
@@ -49,7 +51,7 @@ class LinearCode:
     field: Field
     n: int
     k: int
-    gen: np.ndarray  # k x n array of encodings; treated as read-only
+    gen: np.ndarray  # k x n array of encodings in the table dtype; read-only
     designed_d: int
     d_kind: str
 
@@ -74,15 +76,20 @@ class LinearCode:
 def rref(field: Field, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row-echelon form over F_q; returns (matrix, pivot columns).
 
-    Zero rows are dropped, so the result always has full row rank.  Each
+    Zero rows are dropped, so the result always has full row rank, in the
+    field's encoding dtype; an entry outside [0, q) raises ValueError.  Each
     pivot clears its column from every other row in one mul and one add
     gather, on the flat tables at index a*q + b, over the columns from the
-    pivot on: the pivot row is zero to its left.
+    pivot on: the pivot row is zero to its left.  The flat index is formed
+    in np.intp, since a*q overflows the encoding dtype.
     """
     t = field.tables()
     q = field.q
     add_flat, mul_flat = t.add.ravel(), t.mul.ravel()
-    m = np.array(mat, dtype=np.int64)
+    m = np.asarray(mat)
+    if m.size and (m.min() < 0 or m.max() >= q):
+        raise ValueError(f"matrix entries must be encodings in [0, {q})")
+    m = m.astype(t.add.dtype)
     rows, cols = m.shape
     pivots = []
     rank = 0
@@ -100,8 +107,8 @@ def rref(field: Field, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
         hit = np.flatnonzero(m[:, col])
         hit = hit[hit != rank]
         if hit.size:
-            scaled = np.take(mul_flat, t.neg[m[hit, col]][:, None] * q + prow)
-            m[hit, col:] = np.take(add_flat, m[hit, col:] * q + scaled)
+            scaled = np.take(mul_flat, t.neg[m[hit, col]].astype(np.intp)[:, None] * q + prow)
+            m[hit, col:] = np.take(add_flat, m[hit, col:].astype(np.intp) * q + scaled)
         pivots.append(col)
         rank += 1
     return m[:rank], pivots
@@ -116,15 +123,16 @@ def nullspace(field: Field, mat: np.ndarray) -> np.ndarray:
     information set of the dual, so the vectors with the identity on F and
     the negated rref entries on B are already the dual's RREF: the vector
     for f in F is 0 at every b < f, because the row for b ends before f.
+    An entry outside [0, q) raises ValueError.
     """
-    mat = np.asarray(mat, dtype=np.int64)
+    mat = np.asarray(mat)
     n = mat.shape[1]
     red, rev_pivots = rref(field, mat[:, ::-1])
     bound = n - 1 - np.array(rev_pivots, dtype=np.int64)
     is_free = np.ones(n, dtype=bool)
     is_free[bound] = False
     free = np.flatnonzero(is_free)
-    basis = np.zeros((free.size, n), dtype=np.int64)
+    basis = np.zeros((free.size, n), dtype=red.dtype)
     basis[np.arange(free.size), free] = 1
     basis[:, bound] = field.tables().neg[red[:, ::-1][:, free]].T
     return basis
@@ -136,7 +144,7 @@ def field_matmul(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     r, s = a.shape
     s2, c = b.shape
     assert s == s2
-    out = np.zeros((r, c), dtype=np.int64)
+    out = np.zeros((r, c), dtype=t.add.dtype)
     for kk in range(s):
         out = t.add[out, t.mul[a[:, kk][:, None], b[kk, :][None, :]]]
     return out
@@ -167,15 +175,15 @@ def evaluation_matrix(curve: "KummerCurve", fns: Sequence[rr.BasisFunction],
     """
     field = curve.field
     t = field.tables()
-    raw = np.zeros((len(fns), len(places)), dtype=np.int64)
+    raw = np.zeros((len(fns), len(places)), dtype=t.add.dtype)
     ordinary = []
     for col, place in enumerate(places):
         if place.kind == "ordinary":
             ordinary.append(col)
         else:
             raw[:, col] = [fn.evaluate(curve, place).enc for fn in fns]
-    xs = np.array([places[col].x.enc for col in ordinary], dtype=np.int64)
-    ys = np.array([places[col].y.enc for col in ordinary], dtype=np.int64)
+    xs = np.array([places[col].x.enc for col in ordinary], dtype=t.add.dtype)
+    ys = np.array([places[col].y.enc for col in ordinary], dtype=t.add.dtype)
     fx = np.zeros_like(xs)
     for c in reversed(curve.f.coeffs):
         fx = t.add[t.mul[fx, xs], c.enc]
@@ -273,7 +281,7 @@ def exact_min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int | 
         return None
     t = code.field.tables()
     gen = code.gen
-    table = np.zeros((1, n), dtype=np.int64)
+    table = np.zeros((1, n), dtype=t.add.dtype)
     split = k  # rows split.. are in the table
     best = n
     while split > 0 and q * len(table) * n <= SCAN_CAP:

@@ -12,7 +12,9 @@ smallest encoding: ``exp[n] = enc(g**n)``, its inverse ``log``, ``neg`` and
 ``a*b = exp[log a + log b]`` and ``a + b = a * g**zech[log b - log a]``,
 exponents mod q - 1.  Polynomial arithmetic mod the modulus only picks the
 modulus and walks the powers of g once.  Caps: q <= MAX_Q = 2**16, and the
-dense :meth:`Field.tables` (16*q**2 bytes) need q <= MAX_TABLE_Q = 2**12.
+dense :meth:`Field.tables` need q <= MAX_TABLE_Q = 2**12.  The tables hold
+encodings in the narrowest unsigned dtype that fits q, uint8 up to q = 256
+and uint16 above, so the two q x q tables take 2*q**2 or 4*q**2 bytes.
 """
 
 from __future__ import annotations
@@ -134,6 +136,10 @@ class FieldTables:
     """Dense lookup tables on canonical encodings, derived from the
     exp/log/Zech lists, so the matrix layer's hot loops run on numpy arrays;
     exp and log serve its gathers in the exponent domain.
+
+    Every encoding table is in the field's encoding dtype (uint8 for
+    q <= 256, else uint16), so gathers through them keep that dtype; log is
+    int64 for its -1 sentinel and for exponent arithmetic without overflow.
     """
 
     add: np.ndarray   # add[i, j] = enc(a_i + a_j)
@@ -144,10 +150,11 @@ class FieldTables:
     log: np.ndarray   # log[i]    = n with a_i = g**n; log[0] = -1 (unused)
 
 
-# largest field order, and largest order with dense q x q tables (16*q**2 bytes)
+# largest field order, and largest order with dense q x q tables (2*q**2 bytes
+# in uint8 up to q = 256, 4*q**2 bytes in uint16 above)
 MAX_Q = 2 ** 16
 MAX_TABLE_Q = 2 ** 12
-# elements per block of table rows built at once: 8 MiB temporaries as int64
+# elements per block of table rows built at once: 8 MiB int64 index temporaries
 TABLE_BLOCK = 2 ** 20
 
 
@@ -240,19 +247,20 @@ class Field:
         """
         if self._tables is not None:
             return self._tables
-        q, order = self.q, self.q - 1
-        if q > MAX_TABLE_Q:
-            raise ValueError(
-                f"field tables need 16*q^2 = {16 * q * q} bytes; q = {q} exceeds "
-                f"the table cap MAX_TABLE_Q = 2**12")
         import numpy as np  # only the matrix layer needs numpy
 
+        q, order = self.q, self.q - 1
+        enc = np.dtype(np.uint8 if q <= 256 else np.uint16)
+        if q > MAX_TABLE_Q:
+            raise ValueError(
+                f"field tables need {2 * enc.itemsize}*q^2 = {2 * enc.itemsize * q * q} "
+                f"bytes; q = {q} exceeds the table cap MAX_TABLE_Q = 2**12")
         # doubled lists, so sums of two logs index them without reduction
-        exp = np.array(self._exp * 2, dtype=np.int64)
+        exp = np.array(self._exp * 2, dtype=enc)
         zech = np.array(self._zech * 2, dtype=np.int64)
         logs = np.array(self._log[1:], dtype=np.int64)
-        mul = np.zeros((q, q), dtype=np.int64)
-        add = np.empty((q, q), dtype=np.int64)
+        mul = np.zeros((q, q), dtype=enc)
+        add = np.empty((q, q), dtype=enc)
         add[0] = add[:, 0] = np.arange(q)
         step = TABLE_BLOCK // q
         for lo in range(0, order, step):
@@ -262,9 +270,9 @@ class Field:
             # a + b = a * g**zech[log b - log a], and 0 where zech is -1 (b = -a)
             z = zech[logs - log_a + order]
             add[rows, 1:] = np.where(z < 0, 0, exp[z + log_a])
-        inv = np.zeros(q, dtype=np.int64)
+        inv = np.zeros(q, dtype=enc)
         inv[1:] = exp[order - logs]
-        tabs = FieldTables(add=add, mul=mul, neg=np.array(self._neg, dtype=np.int64), inv=inv,
+        tabs = FieldTables(add=add, mul=mul, neg=np.array(self._neg, dtype=enc), inv=inv,
                            exp=exp, log=np.array(self._log, dtype=np.int64))
         object.__setattr__(self, "_tables", tabs)
         return tabs

@@ -315,7 +315,7 @@ def test_field_size_cap_exits_promptly(capsys, tmp_path):
 
 
 def test_table_size_cap_exits_promptly(capsys, tmp_path):
-    # q = 2^13 dense tables would take 16*q^2 = 1 GiB
+    # q = 2^13 dense uint16 tables would take 4*q^2 = 256 MiB
     cfg = tmp_path / "q2e13.cfg"
     cfg.write_text("p = 2\ne = 13\nm = 3\nlambda = 1\nf = 0,1,0,0,1\n", encoding="utf-8")
     start = time.perf_counter()

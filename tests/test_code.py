@@ -45,6 +45,19 @@ def test_rref_and_nullspace_small():
     assert not field_matmul(f5, red, ns.T).any()
 
 
+@pytest.mark.parametrize("q,bad", [(5, -1), (5, 5), (256, -1), (256, 256), (1024, 1024),
+                                   (1024, -1)])
+def test_rref_and_nullspace_reject_entries_outside_the_field(q, bad):
+    # -1 would index from the end and wrap to q - 1 in uint8; q would wrap
+    # to 0 in uint8 or fall outside the tables
+    field = LA_FIELDS[q]
+    mat = np.array([[1, 2, 3], [0, bad, 1]], dtype=np.int64)
+    with pytest.raises(ValueError, match=r"\[0, %d\)" % q):
+        rref(field, mat)
+    with pytest.raises(ValueError, match=r"\[0, %d\)" % q):
+        nullspace(field, mat)
+
+
 def test_evaluation_code_reference(curve_y3_x5x):
     code = evaluation_code(curve_y3_x5x, Divisor.at_infinity(5))
     assert (code.n, code.k) == (65, 3)
@@ -169,7 +182,9 @@ def test_exact_min_distance_matches_word_at_a_time(code):
 
 def test_exact_min_distance_reference_scan_is_bounded():
     # [256,4]_64 for G = 9P_inf on y^9 = x^4 + x^2 + x: q^k = 2^24, the
-    # default budget; run in a fresh process so its peak RSS is the scan's
+    # default budget; run in a fresh process so that the rise of its peak
+    # RSS over the built code is the scan's: the uint8 suffix table holds at
+    # most SCAN_CAP = 2^20 entries
     script = (
         "import json, resource, time\n"
         "from kummercodes import Divisor, evaluation_code, exact_min_distance\n"
@@ -177,10 +192,12 @@ def test_exact_min_distance_reference_scan_is_bounded():
         "from kummercodes.curve import curve_from_config\n"
         "curve = curve_from_config(REFERENCE_CONFIGS['f64_y9'])\n"
         "code = evaluation_code(curve, Divisor.at_infinity(9))\n"
+        "built_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
         "t0 = time.perf_counter()\n"
         "d = exact_min_distance(code)\n"
         "print(json.dumps({'nk': [code.n, code.k], 'd': d,\n"
         "    's': time.perf_counter() - t0,\n"
+        "    'built_mb': built_mb,\n"
         "    'rss_mb': resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))\n"
     )
     src = str(Path(kummercodes.__file__).resolve().parents[1])
@@ -193,6 +210,7 @@ def test_exact_min_distance_reference_scan_is_bounded():
     assert report["nk"] == [256, 4] and report["d"] == 247
     assert report["s"] < 5
     assert report["rss_mb"] < 100
+    assert report["rss_mb"] - report["built_mb"] < 4
 
 
 def test_shorten(curve_y9_quartic, curve_y3_x5x):
@@ -211,6 +229,25 @@ def test_shorten(curve_y9_quartic, curve_y3_x5x):
     d = exact_min_distance(s2)
     assert d >= small.designed_d
     assert d == 62  # regression value from the first verified run
+
+
+@pytest.mark.parametrize("q,dtype", [(25, np.uint8), (1024, np.uint16)])
+def test_codes_keep_the_table_dtype(q, dtype, curve_y3_x5x):
+    # a stray int64 upcast anywhere on the way would show here
+    if q == 25:
+        curve = curve_y3_x5x
+    else:
+        field = make_field(2, 10)
+        curve = make_curve(field, 3, 1, Polynomial(field, [0, 1, 0, 0, 1]))
+    assert curve.field.tables().add.dtype == dtype
+    G = Divisor.at_infinity(3)  # k = 2, so q^k <= 2^20 can be scanned
+    codes = [evaluation_code(curve, G), residue_code(curve, G)]
+    codes += [shorten(c, 1) for c in codes]
+    for c in codes:
+        assert c.gen.dtype == dtype
+    d = exact_min_distance(codes[0])
+    with mock.patch.object(codemod, "SCAN_CAP", 0):
+        assert exact_min_distance(codes[0]) == d >= codes[0].designed_d
 
 
 def test_shortened_words_lie_in_parent(curve_y3_x5x):
@@ -351,14 +388,16 @@ def shorten_by_candidates(code, s):
     return rref_by_rows(field, rows[:, keep])[0]
 
 
-LA_FIELDS = {**SMALL_FIELDS, 16: make_field(2, 4), 25: make_field(5, 2)}
+# F_256 is the largest uint8 field, F_1024 takes the uint16 path
+LA_FIELDS = {**SMALL_FIELDS, 16: make_field(2, 4), 25: make_field(5, 2),
+             256: make_field(2, 8), 1024: make_field(2, 10)}
 
 
 @st.composite
 def field_matrices(draw):
-    """A random matrix over F_2..F_9, F_16 or F_25, at most 8 x 12: uniform,
-    sparse, or a product of two random factors, so that dependent rows and
-    columns and zero columns all occur."""
+    """A random matrix over F_2..F_9, F_16, F_25, F_256 or F_1024, at most
+    8 x 12: uniform, sparse, or a product of two random factors, so that
+    dependent rows and columns and zero columns all occur."""
     field = LA_FIELDS[draw(st.sampled_from(sorted(LA_FIELDS)))]
     rows, cols = draw(st.integers(0, 8)), draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))

@@ -296,7 +296,7 @@ def test_tables_agree_with_scalar_operators(p, e):
     els = list(field.elements())
     for arr, shape in ((t.add, (field.q, field.q)), (t.mul, (field.q, field.q)),
                        (t.neg, (field.q,)), (t.inv, (field.q,))):
-        assert arr.dtype == "int64" and arr.shape == shape
+        assert arr.dtype == ("uint8" if field.q <= 256 else "uint16") and arr.shape == shape
     assert t.neg.tolist() == [(-a).enc for a in els]
     assert t.inv.tolist() == [0] + [a.inverse().enc for a in els[1:]]
     g, order = els[int(t.exp[1])], field.q - 1
@@ -316,7 +316,8 @@ def test_size_caps():
     with pytest.raises(ValueError, match="MAX_Q"):
         make_field(3, 10 ** 9)
     big = make_field(2, 13)
-    with pytest.raises(ValueError, match="MAX_TABLE_Q"):
+    # two uint16 tables of q^2 entries
+    with pytest.raises(ValueError, match=r"4\*q\^2 = 268435456 bytes.*MAX_TABLE_Q"):
         big.tables()
     assert big._tables is None
 
@@ -333,9 +334,9 @@ def test_tables_built_in_row_blocks(p, e):
 
 
 def test_largest_tables_peak_memory():
-    # q = 4096 = MAX_TABLE_Q: 2 x 128 MiB of tables; full q x q temporaries
-    # used to take the build to ~680 MB.  A fresh process, so that its peak
-    # RSS is the build's.
+    # q = 4096 = MAX_TABLE_Q: 2 x 32 MiB of uint16 tables, built through
+    # int64 index temporaries of TABLE_BLOCK elements.  A fresh process, so
+    # that its peak RSS is the build's.
     script = (
         "import json, resource\n"
         "from kummercodes import make_field\n"
@@ -355,4 +356,4 @@ def test_largest_tables_peak_memory():
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout)
     assert report["ok"] and report["shape"] == [4096, 4096]
-    assert report["rss_mb"] < 420
+    assert report["rss_mb"] < 160
