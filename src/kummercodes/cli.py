@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import code as codemod
 from . import onepoint, rr, twopoint
-from .curve import ConfigError, KummerCurve, curve_from_config, load_curve
+from .curve import ConfigError, KummerCurve, curve_from_config, load_curve, parse_curve_config
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -28,11 +28,11 @@ EXIT_PRECONDITION = 3
 EXIT_MISMATCH = 4
 EXIT_VERIFY = 5
 
-# bundled reference curves: equation tokens -> configuration
+# bundled reference curves: equation tokens -> configuration text
 REFERENCE_CONFIGS = {
-    "f25_y3": {"p": 5, "e": 2, "m": 3, "lambda": 1, "f": [0, 4, 0, 0, 0, 1]},   # y^3 = x^5 - x
-    "f64_y9": {"p": 2, "e": 6, "m": 9, "lambda": 1, "f": [0, 1, 1, 0, 1]},      # y^9 = x^4 + x^2 + x
-    "f25_y6": {"p": 5, "e": 2, "m": 6, "lambda": 1, "f": [0, 1, 0, 0, 0, 1]},   # y^6 = x^5 + x
+    "f25_y3": "p = 5\ne = 2\nm = 3\nlambda = 1\nf = 0,4,0,0,0,1\n",   # y^3 = x^5 - x
+    "f64_y9": "p = 2\ne = 6\nm = 9\nlambda = 1\nf = 0,1,1,0,1\n",      # y^9 = x^4 + x^2 + x
+    "f25_y6": "p = 5\ne = 2\nm = 6\nlambda = 1\nf = 0,1,0,0,0,1\n",   # y^6 = x^5 + x
 }
 
 
@@ -311,12 +311,10 @@ def cmd_verify(args) -> int:
             sys.stdout.write(check_id + "\n")
         return EXIT_OK
     curves = {}
-    for token, cfg in REFERENCE_CONFIGS.items():
+    for token, text in REFERENCE_CONFIGS.items():
         if args.fixtures:
-            path = Path(args.fixtures) / f"{token}.cfg"
-            curves[token] = load_curve(path)
-        else:
-            curves[token] = curve_from_config(cfg)
+            text = (Path(args.fixtures) / f"{token}.cfg").read_text(encoding="utf-8")
+        curves[token] = curve_from_config(parse_curve_config(text))
     failures = []
     for check_id, token, fn in VERIFY_CHECKS:
         try:
@@ -337,16 +335,9 @@ def write_reference_configs(directory: str | Path) -> list[Path]:
     out = []
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    for token, cfg in REFERENCE_CONFIGS.items():
-        lines = [
-            f"p = {cfg['p']}",
-            f"e = {cfg['e']}",
-            f"m = {cfg['m']}",
-            f"lambda = {cfg['lambda']}",
-            "f = " + ",".join(str(c) for c in cfg["f"]),
-        ]
+    for token, text in REFERENCE_CONFIGS.items():
         path = directory / f"{token}.cfg"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        path.write_text(text, encoding="utf-8", newline="\n")
         out.append(path)
     return out
 

@@ -65,7 +65,8 @@ class LinearCode:
         }
 
     def matrix_text(self) -> str:
-        lines = [" ".join(str(int(v)) for v in row) for row in self.gen]
+        digits = [str(v) for v in range(self.field.q)]
+        lines = [" ".join(map(digits.__getitem__, row.tolist())) for row in self.gen]
         return "\n".join(lines) + "\n"
 
 

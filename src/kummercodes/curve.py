@@ -202,8 +202,7 @@ def curve_from_config(cfg: dict) -> KummerCurve:
     bad = [n for n in encs if not 0 <= n < field.q]
     if bad:
         raise ConfigError(f"coefficient encodings {bad} outside [0, {field.q})")
-    f = Polynomial(field, [field.element(n) for n in encs])
-    return make_curve(field, cfg["m"], cfg["lambda"], f)
+    return make_curve(field, cfg["m"], cfg["lambda"], Polynomial(field, encs))
 
 
 def load_curve(path: str | Path) -> KummerCurve:

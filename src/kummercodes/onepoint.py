@@ -26,7 +26,7 @@ class NumericalSemigroup:
     conductor is automatic.  ``generators`` is the minimal generating set.
     """
 
-    __slots__ = ("gaps", "genus", "frobenius", "conductor", "_members", "_generators")
+    __slots__ = ("gaps", "genus", "frobenius", "conductor", "_gap_set", "_generators")
 
     def __init__(self, gaps: Iterable[int]):
         gap_list = sorted(set(int(s) for s in gaps))
@@ -36,9 +36,7 @@ class NumericalSemigroup:
         object.__setattr__(self, "genus", len(gap_list))
         object.__setattr__(self, "frobenius", gap_list[-1] if gap_list else -1)
         object.__setattr__(self, "conductor", (gap_list[-1] + 1) if gap_list else 0)
-        gap_set = set(gap_list)
-        members = frozenset(n for n in range(self.conductor) if n not in gap_set)
-        object.__setattr__(self, "_members", members)
+        object.__setattr__(self, "_gap_set", frozenset(gap_list))
         object.__setattr__(self, "_generators", None)
 
     def __setattr__(self, name, value):
@@ -70,11 +68,7 @@ class NumericalSemigroup:
         return cls(n for n in range(1, bound + 1) if not member[n])
 
     def __contains__(self, n: int) -> bool:
-        if n < 0:
-            return False
-        if n >= self.conductor:
-            return True
-        return n in self._members
+        return n >= 0 and n not in self._gap_set
 
     @property
     def generators(self) -> tuple[int, ...]:

@@ -18,10 +18,7 @@ class Polynomial:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: Field, coeffs: Iterable[FieldElement | int] = ()):
-        cs = [field.element(c) if not isinstance(c, FieldElement) else c for c in coeffs]
-        for c in cs:
-            if c.field != field:
-                raise ValueError("coefficient from a different field")
+        cs = [field.element(c) for c in coeffs]
         while cs and cs[-1].is_zero():
             cs.pop()
         object.__setattr__(self, "field", field)
@@ -41,8 +38,7 @@ class Polynomial:
         """The monic polynomial with the given roots (with multiplicity)."""
         out = cls(field, [field.one()])
         for a in roots:
-            a = field.element(a) if not isinstance(a, FieldElement) else a
-            out = out * cls(field, [-a, field.one()])
+            out = out * cls(field, [-field.element(a), field.one()])
         return out
 
     @classmethod
@@ -56,7 +52,7 @@ class Polynomial:
             encs = [int(s) for s in parts]
         except ValueError as exc:
             raise ValueError(f"bad polynomial literal {text!r}: {exc}") from exc
-        return cls(field, [field.element(n) for n in encs])
+        return cls(field, encs)
 
     def format(self) -> str:
         """Inverse of :meth:`parse`; the zero polynomial prints as "0"."""

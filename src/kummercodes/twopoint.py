@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 from typing import TYPE_CHECKING
 
-from .gf import is_prime
 from .onepoint import semigroups
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -162,14 +162,10 @@ def known_pure_gap(q: int, l: int) -> tuple[int, int]:
 def _is_prime_power(n: int) -> bool:
     if n < 2:
         return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return n == 1
-        p += 1
-    return is_prime(n)
+    p = next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
+    while n % p == 0:
+        n //= p
+    return n == 1
 
 
 def enumerate_pure_gaps(curve: "KummerCurve", bound: int | None = None) -> tuple[tuple[int, int], ...]:

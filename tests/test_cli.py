@@ -242,11 +242,14 @@ def test_precondition_messages(capsys, cfg_dir, argv, message):
     assert (code, out, err) == (EXIT_PRECONDITION, "", f"error[3]: {message}\n")
 
 
-def test_verify_paper_passes(capsys):
-    code, out, _ = run_cli(capsys, "verify-paper")
+def test_verify_paper_passes(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "verify-paper")
     assert code == EXIT_OK
     lines = [l for l in out.splitlines() if l]
     assert len(lines) == 8 and all(l.startswith("PASS") for l in lines)
+    # the written reference configs read back as the same curves
+    write_reference_configs(tmp_path)
+    assert run_cli(capsys, "verify-paper", "--fixtures", str(tmp_path)) == (code, out, err)
 
 
 def test_verify_paper_list(capsys):

@@ -189,8 +189,8 @@ def test_exact_min_distance_reference_scan_is_bounded():
         "import json, resource, time\n"
         "from kummercodes import Divisor, evaluation_code, exact_min_distance\n"
         "from kummercodes.cli import REFERENCE_CONFIGS\n"
-        "from kummercodes.curve import curve_from_config\n"
-        "curve = curve_from_config(REFERENCE_CONFIGS['f64_y9'])\n"
+        "from kummercodes.curve import curve_from_config, parse_curve_config\n"
+        "curve = curve_from_config(parse_curve_config(REFERENCE_CONFIGS['f64_y9']))\n"
         "code = evaluation_code(curve, Divisor.at_infinity(9))\n"
         "built_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
         "t0 = time.perf_counter()\n"

@@ -58,3 +58,9 @@ def test_only_cli_imports_code():
     # the theory path (semigroups, pure gaps, Riemann-Roch) runs without numpy
     importers = {name for name in ("__init__", *LAYERS) if "code" in _package_imports(name)}
     assert importers == {"cli"}
+
+
+@pytest.mark.parametrize("name", ("rr", "onepoint", "twopoint"))
+def test_theory_imports_no_field_code(name):
+    # the theory is written as functions of the integers it depends on
+    assert not _package_imports(name) & {"gf", "poly", "curve"}

@@ -15,6 +15,13 @@ def test_parse_format_roundtrip(f25):
         Polynomial.parse(f25, "0,x,1")
 
 
+def test_coefficients_from_another_field_rejected(f25, f64):
+    with pytest.raises(ValueError, match="different field"):
+        Polynomial(f64, [f25.one()])
+    with pytest.raises(ValueError, match="different field"):
+        Polynomial.from_roots(f64, [f25.one()])
+
+
 def test_trailing_zeros_trimmed(f25):
     f = Polynomial(f25, [1, 2, 0, 0])
     assert f.degree == 1

@@ -104,10 +104,11 @@ def test_known_pure_gap_family():
     assert known_pure_gap(5, 1) == (13, 1)
     assert known_pure_gap(7, 1) == (33, 1)
     assert known_pure_gap(4, 1) == (6, 1)
-    with pytest.raises(ValueError):
-        known_pure_gap(3, 1)
-    with pytest.raises(ValueError):
-        known_pure_gap(6, 1)  # not a prime power
+    assert known_pure_gap(8, 1) == (46, 1)
+    assert known_pure_gap(9, 1) == (61, 1)
+    for q in (3, 6, 10, 12):  # q <= 3, or not a prime power
+        with pytest.raises(ValueError):
+            known_pure_gap(q, 1)
     with pytest.raises(ValueError):
         known_pure_gap(5, 0)
 
