@@ -213,7 +213,8 @@ def cmd_code(args) -> int:
         short = codemod.shorten(lin, args.shorten)
         payload["shortened"] = short.summary()
     if args.matrix_out:
-        Path(args.matrix_out).write_text(lin.matrix_text(), encoding="utf-8", newline="\n")
+        with open(args.matrix_out, "w", encoding="utf-8", newline="\n") as out:
+            out.writelines(lin.matrix_lines())
         payload["matrix_file"] = args.matrix_out
     _emit(payload, args.format, args.output)
     return EXIT_OK

@@ -10,34 +10,32 @@ Homma-Kim bound of that box, else the Goppa bound deg G - (2g - 2).
 Matrix work runs on numpy arrays of canonical encodings, in the field's
 encoding dtype (uint8 for q <= 256, else uint16), through the exact field
 lookup tables, on whole arrays: the basis is evaluated at the ordinary
-places one y-stratum at a time by exp/log gathers, and rref eliminates every
-row in one gather per pivot.  One rref of the columns in reverse order gives
-both the canonical dual (nullspace) and the coordinates a shortening drops;
-the shortened generator is then read off one more rref.  The exact minimum
-distance is a full scan of one codeword per scalar class, (q**k - 1)/(q - 1)
-words, weighed against a table of suffix combinations of at most SCAN_CAP
-elements, so its memory is capped whatever q**k is; the budget still bounds
-q**k.
+places one y-stratum at a time by exp/log gathers, and rref eliminates each
+pivot column in one gather per block of rows.  One rref of the columns in
+reverse order gives both the canonical dual (nullspace) and the coordinates
+a shortening drops; the shortened generator is then read off one more rref.
+The exact minimum distance is a full scan of one codeword per scalar class,
+(q**k - 1)/(q - 1) words, weighed against a table of suffix combinations.
+Every temporary here whose size grows with k*n or q**s*n (rref's index
+blocks, the suffix table and its comparisons) stays within gf.WORK_BYTES
+bytes, so memory is capped whatever q**k is; the budget still bounds q**k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import groupby
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
-from . import rr, twopoint
+from . import gf, rr, twopoint
 from .gf import Field
 
 if TYPE_CHECKING:  # pragma: no cover
     from .curve import KummerCurve, Place
 
 DEFAULT_BUDGET = 2 ** 24
-# elements (rows * n) of the minimum-distance suffix table: 1 MiB in uint8,
-# 2 MiB in uint16
-SCAN_CAP = 2 ** 20
 
 GOPPA_L = "goppa_L"
 GOPPA_OMEGA = "goppa_omega"
@@ -51,7 +49,7 @@ class LinearCode:
     field: Field
     n: int
     k: int
-    gen: np.ndarray  # k x n array of encodings in the table dtype; read-only
+    gen: np.ndarray  # k x n array of encodings in the table dtype; made read-only
     designed_d: int
     d_kind: str
 
@@ -64,10 +62,14 @@ class LinearCode:
             "d_kind": self.d_kind,
         }
 
-    def matrix_text(self) -> str:
+    def __post_init__(self):
+        self.gen.setflags(write=False)
+
+    def matrix_lines(self) -> Iterator[str]:
+        """The generator as text, one newline-terminated row at a time."""
         digits = [str(v) for v in range(self.field.q)]
-        lines = [" ".join(map(digits.__getitem__, row.tolist())) for row in self.gen]
-        return "\n".join(lines) + "\n"
+        for row in self.gen:
+            yield " ".join(map(digits.__getitem__, row.tolist())) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -79,10 +81,11 @@ def rref(field: Field, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
     Zero rows are dropped, so the result always has full row rank, in the
     field's encoding dtype; an entry outside [0, q) raises ValueError.  Each
-    pivot clears its column from every other row in one mul and one add
+    pivot clears its column from every other row by one mul and one add
     gather, on the flat tables at index a*q + b, over the columns from the
     pivot on: the pivot row is zero to its left.  The flat index is formed
-    in np.intp, since a*q overflows the encoding dtype.
+    in np.intp, since a*q overflows the encoding dtype, for a block of rows
+    at a time, so that each index temporary stays within gf.WORK_BYTES.
     """
     t = field.tables()
     q = field.q
@@ -107,9 +110,11 @@ def rref(field: Field, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
         m[rank, col:] = prow
         hit = np.flatnonzero(m[:, col])
         hit = hit[hit != rank]
-        if hit.size:
-            scaled = np.take(mul_flat, t.neg[m[hit, col]].astype(np.intp)[:, None] * q + prow)
-            m[hit, col:] = np.take(add_flat, m[hit, col:].astype(np.intp) * q + scaled)
+        step = max(1, gf.WORK_BYTES // (8 * prow.size))  # rows of intp indices
+        for lo in range(0, hit.size, step):
+            block = hit[lo:lo + step]
+            scaled = np.take(mul_flat, t.neg[m[block, col]].astype(np.intp)[:, None] * q + prow)
+            m[block, col:] = np.take(add_flat, m[block, col:].astype(np.intp) * q + scaled)
         pivots.append(col)
         rank += 1
     return m[:rank], pivots
@@ -264,15 +269,19 @@ def exact_min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int | 
 
     c*w has the weight of w for c != 0, so each of the (q**k - 1)/(q - 1)
     scalar classes is scanned once, through its message whose first nonzero
-    digit is 1.  The last s rows of the generator are expanded into the
-    table T of all q**s of their F_q-combinations, s the largest with
-    q**s * n <= SCAN_CAP, by T_j = {c*g_j + t : c in F_q, t in T_{j+1}}
-    (one add-table gather per entry).  Messages that lead inside the table
-    are the c = 1 blocks of that recurrence.  A message that leads at row l
-    before the table gives v = g_l + sum c_j*g_j over the rows between, and
-    v + t vanishes exactly where t = -v, so the weights of all of v + T
-    come from one comparison with the negation table.  Memory stays a few
-    times SCAN_CAP elements whatever q**k is; the scan never stops early,
+    digit is 1.  The last rows of the generator are expanded into a table T
+    of their F_q-combinations, by T_j = {c*g_j + t : c in C_j, t in T_{j+1}}
+    (one add-table gather per entry), while T stays within gf.WORK_BYTES.
+    C_j is all of F_q, except at the top row when a whole level would not
+    fit: there it is the encodings [0, p**i) for the largest i that fits,
+    an additive subgroup, since encodings add digit by digit in base p.
+    Messages that lead inside the table are the c = 1 blocks of that
+    recurrence.  A message that leads at row l before the table gives
+    v = g_l + sum c_j*g_j over the rows between, the top row's c_j running
+    over the cosets a + C_j, a a multiple of p**i; v + t vanishes exactly
+    where t = -v, so the weights of all of v + T come from one comparison
+    with the negation table, a block the size of T.  Row 0 never enters the
+    table: only its c = 1 block would be read.  The scan never stops early,
     so the result is exact and deterministic.
     """
     q, k, n = code.field.q, code.k, code.n
@@ -283,27 +292,34 @@ def exact_min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int | 
     t = code.field.tables()
     gen = code.gen
     table = np.zeros((1, n), dtype=t.add.dtype)
-    split = k  # rows split.. are in the table
+    split, top = k, q  # rows split.. are in the table, row split with scalars [0, top)
     best = n
-    while split > 0 and q * len(table) * n <= SCAN_CAP:
-        split -= 1
-        rows = len(table)
-        table = t.add[t.mul[:, gen[split]][:, None, :], table[None, :, :]].reshape(-1, n)
+    while split > 1 and top == q:
+        width = q
+        while width > 1 and width * table.nbytes > gf.WORK_BYTES:
+            width //= code.field.p
+        if width == 1:
+            break
+        split, top, rows = split - 1, width, len(table)
+        table = t.add[t.mul[:top, gen[split]][:, None, :], table[None, :, :]].reshape(-1, n)
         lead_block = table[rows:2 * rows]  # c = 1: the messages leading at row split
         best = min(best, int(np.count_nonzero(lead_block, axis=1).min()))
     for lead in range(split):
-        for v in _prefix_words(t, gen[lead], gen[lead + 1:split]):
-            best = min(best, int(np.count_nonzero(table != t.neg[v], axis=1).min()))
+        choices = [t.mul[:, row] for row in gen[lead + 1:split]]
+        if top < q:
+            choices.append(t.mul[::top, gen[split]])
+        for v in _prefix_words(t, gen[lead], choices):
+            best = min(best, int((table != t.neg[v]).sum(axis=1, dtype=np.uint32).min()))
     return best
 
 
-def _prefix_words(t, word: np.ndarray, rows: np.ndarray):
-    """Yield word + sum(c_j * rows[j]) for every choice of digits c_j in F_q."""
-    if not len(rows):
+def _prefix_words(t, word: np.ndarray, choices: list[np.ndarray]):
+    """Yield word plus one row of each array in choices, for every choice."""
+    if not choices:
         yield word
         return
-    for scaled in t.mul[:, rows[0]]:
-        yield from _prefix_words(t, t.add[word, scaled], rows[1:])
+    for scaled in choices[0]:
+        yield from _prefix_words(t, t.add[word, scaled], choices[1:])
 
 
 def shorten(code: LinearCode, s: int) -> LinearCode:

@@ -14,7 +14,13 @@ exponents mod q - 1.  Polynomial arithmetic mod the modulus only picks the
 modulus and walks the powers of g once.  Caps: q <= MAX_Q = 2**16, and the
 dense :meth:`Field.tables` need q <= MAX_TABLE_Q = 2**12.  The tables hold
 encodings in the narrowest unsigned dtype that fits q, uint8 up to q = 256
-and uint16 above, so the two q x q tables take 2*q**2 or 4*q**2 bytes.
+and uint16 above, so the two q x q tables take 2*q**2 or 4*q**2 bytes; they
+are read-only, since every caller in the process shares them.
+
+WORK_BYTES bounds the working set of the table build and of the code layer
+on top of it: every temporary whose size grows with q**2 or with a matrix
+(the build's index blocks, rref's elimination blocks, the distance scan's
+suffix table) stays within that many bytes.
 """
 
 from __future__ import annotations
@@ -154,8 +160,9 @@ class FieldTables:
 # in uint8 up to q = 256, 4*q**2 bytes in uint16 above)
 MAX_Q = 2 ** 16
 MAX_TABLE_Q = 2 ** 12
-# elements per block of table rows built at once: 8 MiB int64 index temporaries
-TABLE_BLOCK = 2 ** 20
+# bytes in one temporary of the table build or of the code layer (a block of
+# int64 indices, a block of matrix rows, the scan's suffix table)
+WORK_BYTES = 2 ** 16
 
 
 class Field:
@@ -241,9 +248,9 @@ class Field:
         """enc-indexed add/mul/neg/inv tables (built once, then cached).
 
         Derived from the exp/log/Zech arrays by numpy broadcasting, in
-        blocks of rows so that the temporaries stay near TABLE_BLOCK
-        elements whatever q is; raises ValueError before allocating when
-        q > MAX_TABLE_Q.
+        blocks of rows so that each int64 index temporary stays within
+        WORK_BYTES whatever q is (one row at least); raises ValueError
+        before allocating when q > MAX_TABLE_Q.  The arrays are read-only.
         """
         if self._tables is not None:
             return self._tables
@@ -262,7 +269,7 @@ class Field:
         mul = np.zeros((q, q), dtype=enc)
         add = np.empty((q, q), dtype=enc)
         add[0] = add[:, 0] = np.arange(q)
-        step = TABLE_BLOCK // q
+        step = max(1, WORK_BYTES // (8 * q))
         for lo in range(0, order, step):
             rows = slice(1 + lo, 1 + lo + step)
             log_a = logs[lo:lo + step, None]
@@ -274,6 +281,8 @@ class Field:
         inv[1:] = exp[order - logs]
         tabs = FieldTables(add=add, mul=mul, neg=np.array(self._neg, dtype=enc), inv=inv,
                            exp=exp, log=np.array(self._log, dtype=np.int64))
+        for arr in vars(tabs).values():
+            arr.setflags(write=False)
         object.__setattr__(self, "_tables", tabs)
         return tabs
 

@@ -1,7 +1,13 @@
+import json
+import os
+import subprocess
+import sys
 from math import gcd
+from pathlib import Path
 
 import pytest
 
+import kummercodes
 from kummercodes import Polynomial, make_curve, make_field
 
 # primes used to host the sweep curves; p >= 3 keeps the two-point membership
@@ -57,3 +63,29 @@ def curve_y9_quartic(f64):
 def curve_y6_x5x(f25):
     """y^6 = x^5 + x over F_25: genus 10, 126 rational places."""
     return make_curve(f25, 6, 1, Polynomial(f25, [0, 1, 0, 0, 0, 1]))
+
+
+_PEAK_RSS_PRELUDE = (
+    "import json, resource\n"
+    "def peak_mb():\n"
+    "    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
+)
+
+
+@pytest.fixture(scope="session")
+def run_fresh():
+    """run_fresh(body) runs body in a fresh interpreter that imports this
+    checkout of the package and returns the JSON object it prints.  body
+    may call peak_mb(), the process's peak RSS so far in MB, so that a bound
+    on it measures only what the body allocates on top of the interpreter."""
+    src = str(Path(kummercodes.__file__).resolve().parents[1])
+
+    def run(body: str, timeout: float = 120) -> dict:
+        result = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS_PRELUDE + body], capture_output=True,
+            text=True, timeout=timeout, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.returncode == 0, result.stderr
+        return json.loads(result.stdout)
+
+    return run

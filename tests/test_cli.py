@@ -196,6 +196,28 @@ def test_code_shorten_flag(capsys, cfg_dir):
     assert payload["shortened"]["designed_d"] == 18
 
 
+@pytest.mark.parametrize("config,G,divisor,omega", [
+    ("p = 2\ne = 6\nm = 9\nlambda = 1\nf = 0,1,1,0,1\n", "19P_inf + 19P_1",
+     kummercodes.Divisor(19, {1: 19}), True),
+    ("p = 2\ne = 10\nm = 3\nlambda = 1\nf = 0,1,0,0,1\n", "7P_inf",
+     kummercodes.Divisor.at_infinity(7), False),
+])
+def test_matrix_out_parses_back_to_the_generator(capsys, tmp_path, config, G, divisor, omega):
+    # one uint8 field (F_64) and one uint16 field (F_1024): the file written
+    # row by row holds the generator's encodings, one row per line
+    cfg, matrix_path = tmp_path / "curve.cfg", tmp_path / "gen.txt"
+    cfg.write_text(config, encoding="utf-8")
+    argv = ["code", "--curve", str(cfg), "--G", G, "--matrix-out", str(matrix_path)]
+    code, out, _ = run_cli(capsys, *argv, *(["--omega"] if omega else []))
+    assert code == EXIT_OK
+    curve = kummercodes.load_curve(cfg)
+    text = matrix_path.read_text(encoding="utf-8")
+    rows = [[int(v) for v in line.split(" ")] for line in text.split("\n")[:-1]]
+    build = kummercodes.residue_code if omega else kummercodes.evaluation_code
+    assert rows == build(curve, divisor).gen.tolist()
+    assert len(rows) == json.loads(out)["k"] and text.endswith("\n")
+
+
 def test_error_exit_codes(capsys, cfg_dir, tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("p = 5\ne = 2\nm = 3\n", encoding="utf-8")  # missing keys

@@ -1,9 +1,4 @@
 import itertools
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,9 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import kummercodes
-from kummercodes import Polynomial, make_curve, make_field
-from kummercodes import code as codemod
+from kummercodes import Polynomial, gf, make_curve, make_field
 from kummercodes.code import (
     GOPPA_L,
     GOPPA_OMEGA,
@@ -64,8 +57,11 @@ def test_evaluation_code_reference(curve_y3_x5x):
     assert code.designed_d == 60 and code.d_kind == GOPPA_L
     again = evaluation_code(curve_y3_x5x, Divisor.at_infinity(5))
     assert np.array_equal(code.gen, again.gen)
-    assert code.matrix_text() == again.matrix_text()
+    assert list(code.matrix_lines()) == list(again.matrix_lines())
     assert exact_min_distance(code) == 60
+    # the generator is shared by every user of the code
+    with pytest.raises(ValueError, match="read-only"):
+        code.gen[0, 0] = 0
 
 
 def test_dimension_equals_rr_dim_below_n(curve_y3_x5x):
@@ -172,45 +168,58 @@ def rref_codes(draw):
 def test_exact_min_distance_matches_word_at_a_time(code):
     want = word_at_a_time_min_distance(code)
     total = code.field.q ** code.k
-    # default cap: whole table; q*n: one table row, the rest by prefix
-    # words; 0: no table, every word a prefix word
-    for cap in (codemod.SCAN_CAP, code.field.q * code.n, 0):
-        with mock.patch.object(codemod, "SCAN_CAP", cap):
+    row = code.n * code.gen.itemsize
+    # default: the whole table but row 0; q rows: one table level, the rest
+    # by prefix words; p*q rows: one level and a slice of p scalars of the
+    # next (a whole level in a prime field); 0: no table, every word a
+    # prefix word
+    for work in (gf.WORK_BYTES, code.field.q * row, code.field.p * code.field.q * row, 0):
+        with mock.patch.object(gf, "WORK_BYTES", work):
             assert exact_min_distance(code, budget=total) == want
     assert exact_min_distance(code, budget=total - 1) is None
 
 
-def test_exact_min_distance_reference_scan_is_bounded():
+REFERENCE_CURVE_SCRIPT = (
+    "from kummercodes import Divisor, evaluation_code, exact_min_distance, residue_code, shorten\n"
+    "from kummercodes.cli import REFERENCE_CONFIGS\n"
+    "from kummercodes.curve import curve_from_config, parse_curve_config\n"
+    "curve = curve_from_config(parse_curve_config(REFERENCE_CONFIGS['f64_y9']))\n"
+)
+
+
+def test_exact_min_distance_reference_scan_is_bounded(run_fresh):
     # [256,4]_64 for G = 9P_inf on y^9 = x^4 + x^2 + x: q^k = 2^24, the
     # default budget; run in a fresh process so that the rise of its peak
-    # RSS over the built code is the scan's: the uint8 suffix table holds at
-    # most SCAN_CAP = 2^20 entries
-    script = (
-        "import json, resource, time\n"
-        "from kummercodes import Divisor, evaluation_code, exact_min_distance\n"
-        "from kummercodes.cli import REFERENCE_CONFIGS\n"
-        "from kummercodes.curve import curve_from_config, parse_curve_config\n"
-        "curve = curve_from_config(parse_curve_config(REFERENCE_CONFIGS['f64_y9']))\n"
+    # RSS over the built code is the scan's: the uint8 suffix table and each
+    # comparison with it hold at most WORK_BYTES
+    report = run_fresh(REFERENCE_CURVE_SCRIPT + (
+        "import time\n"
         "code = evaluation_code(curve, Divisor.at_infinity(9))\n"
-        "built_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
+        "built_mb = peak_mb()\n"
         "t0 = time.perf_counter()\n"
         "d = exact_min_distance(code)\n"
-        "print(json.dumps({'nk': [code.n, code.k], 'd': d,\n"
-        "    's': time.perf_counter() - t0,\n"
-        "    'built_mb': built_mb,\n"
-        "    'rss_mb': resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))\n"
-    )
-    src = str(Path(kummercodes.__file__).resolve().parents[1])
-    result = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    assert result.returncode == 0, result.stderr
-    report = json.loads(result.stdout)
+        "print(json.dumps({'nk': [code.n, code.k], 'd': d, 's': time.perf_counter() - t0,\n"
+        "                  'built_mb': built_mb, 'rss_mb': peak_mb()}))\n"
+    ))
     assert report["nk"] == [256, 4] and report["d"] == 247
     assert report["s"] < 5
     assert report["rss_mb"] < 100
-    assert report["rss_mb"] - report["built_mb"] < 4
+    assert report["rss_mb"] - report["built_mb"] < 1
+
+
+def test_shorten_peak_memory(run_fresh):
+    # the [255,228]_64 C_Omega for G = 19P_inf + 19P_1, shortened by 15:
+    # rref's intp index blocks stay within WORK_BYTES, so the peak RSS
+    # barely rises over the built code
+    report = run_fresh(REFERENCE_CURVE_SCRIPT + (
+        "code = residue_code(curve, Divisor(19, {1: 19}))\n"
+        "built_mb = peak_mb()\n"
+        "short = shorten(code, 15)\n"
+        "print(json.dumps({'nk': [short.n, short.k], 'built_mb': built_mb,\n"
+        "                  'rss_mb': peak_mb()}))\n"
+    ))
+    assert report["nk"] == [240, 213]
+    assert report["rss_mb"] - report["built_mb"] < 1
 
 
 def test_shorten(curve_y9_quartic, curve_y3_x5x):
@@ -246,7 +255,7 @@ def test_codes_keep_the_table_dtype(q, dtype, curve_y3_x5x):
     for c in codes:
         assert c.gen.dtype == dtype
     d = exact_min_distance(codes[0])
-    with mock.patch.object(codemod, "SCAN_CAP", 0):
+    with mock.patch.object(gf, "WORK_BYTES", 0):
         assert exact_min_distance(codes[0]) == d >= codes[0].designed_d
 
 
@@ -448,3 +457,24 @@ def test_shorten_matches_candidate_columns(case, data):
     assert (short.n, short.k) == (code.n - s, code.k - s)
     want = code.gen if s == 0 else shorten_by_candidates(code, s)
     assert np.array_equal(short.gen, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(field_matrices(), st.data())
+def test_one_row_blocks_agree(case, data):
+    # with WORK_BYTES below one row, rref and nullspace clear each pivot one
+    # row at a time and the scan keeps no table; results must not change
+    field, mat = case
+    gen, pivots = rref(field, mat)
+    assume(len(gen))
+    code = LinearCode(field=field, n=mat.shape[1], k=len(gen), gen=gen,
+                      designed_d=1, d_kind=GOPPA_L)
+    s = data.draw(st.integers(0, code.k - 1))
+    want_ns, want_short = nullspace(field, mat), shorten(code, s).gen
+    want_d = exact_min_distance(code, budget=2 ** 16)
+    with mock.patch.object(gf, "WORK_BYTES", 1):
+        red, red_pivots = rref(field, mat)
+        assert np.array_equal(red, gen) and red_pivots == pivots
+        assert np.array_equal(nullspace(field, mat), want_ns)
+        assert np.array_equal(shorten(code, s).gen, want_short)
+        assert exact_min_distance(code, budget=2 ** 16) == want_d

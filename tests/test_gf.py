@@ -1,15 +1,10 @@
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import kummercodes
 from kummercodes import gf
 from kummercodes.gf import Field, is_prime, make_field, mth_roots
 
@@ -322,38 +317,45 @@ def test_size_caps():
     assert big._tables is None
 
 
-@pytest.mark.parametrize("p,e", [(5, 2), (2, 6), (2, 8)])
+@pytest.mark.parametrize("p,e", [(5, 2), (2, 6), (2, 8), (2, 1), (3, 1), (2, 2), (5, 1),
+                                 (7, 1), (2, 3), (3, 2), (2, 4), (2, 10)])
 def test_tables_built_in_row_blocks(p, e):
-    # below q = 1024 the whole table is one block; a fresh field built
-    # 7 rows at a time, with a short last block, must give the same arrays
+    # a fresh field built one row at a time (a budget too small for one
+    # row, 0 included, still takes one), and 7 rows at a time with a short
+    # last block, must give the arrays of the default build
     whole = make_field(p, e).tables()
-    with mock.patch.object(gf, "TABLE_BLOCK", 7 * whole.add.shape[0]):
-        blocked = Field(p, e).tables()
-    for name in ("add", "mul", "neg", "inv"):
-        assert getattr(blocked, name).tolist() == getattr(whole, name).tolist()
+    q = whole.add.shape[0]
+    for budget in (0, 8 * 7 * q):
+        with mock.patch.object(gf, "WORK_BYTES", budget):
+            blocked = Field(p, e).tables()
+        for name in ("add", "mul", "neg", "inv", "exp", "log"):
+            assert np.array_equal(getattr(blocked, name), getattr(whole, name))
 
 
-def test_largest_tables_peak_memory():
+def test_tables_are_read_only(f25):
+    # every caller in the process shares the cached arrays
+    t = f25.tables()
+    for name in ("add", "mul", "neg", "inv", "exp", "log"):
+        arr = getattr(t, name)
+        with pytest.raises(ValueError, match="read-only"):
+            arr[1] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            arr.ravel()[0] = 0
+    assert t.add[1, 1] == (f25.one() + f25.one()).enc
+
+
+def test_largest_tables_peak_memory(run_fresh):
     # q = 4096 = MAX_TABLE_Q: 2 x 32 MiB of uint16 tables, built through
-    # int64 index temporaries of TABLE_BLOCK elements.  A fresh process, so
-    # that its peak RSS is the build's.
-    script = (
-        "import json, resource\n"
+    # int64 index temporaries of at most WORK_BYTES each.  A fresh process,
+    # so that its peak RSS is the build's.
+    report = run_fresh(
         "from kummercodes import make_field\n"
         "field = make_field(2, 12)\n"
         "t = field.tables()\n"
         "els = [field.element(n) for n in (0, 1, 2, 255, 256, 257, 2048, 4095)]\n"
         "ok = all(t.add[a.enc, b.enc] == (a + b).enc and t.mul[a.enc, b.enc] == (a * b).enc\n"
         "         for a in els for b in els)\n"
-        "print(json.dumps({'ok': ok, 'shape': t.add.shape,\n"
-        "    'rss_mb': resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))\n"
+        "print(json.dumps({'ok': ok, 'shape': t.add.shape, 'rss_mb': peak_mb()}))\n"
     )
-    src = str(Path(kummercodes.__file__).resolve().parents[1])
-    result = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    assert result.returncode == 0, result.stderr
-    report = json.loads(result.stdout)
     assert report["ok"] and report["shape"] == [4096, 4096]
-    assert report["rss_mb"] < 160
+    assert report["rss_mb"] < 110
