@@ -15,7 +15,7 @@ from .curve import (
     make_curve,
     parse_curve_config,
 )
-from .gf import Field, FieldElement, make_field, mth_roots
+from .gf import Field, FieldElement, make_field
 from .onepoint import (
     NumericalSemigroup,
     check_consecutive_form,
@@ -86,7 +86,6 @@ __all__ = [
     "load_curve",
     "make_curve",
     "make_field",
-    "mth_roots",
     "onepoint",
     "parse_curve_config",
     "residue_code",

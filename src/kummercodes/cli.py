@@ -2,7 +2,9 @@
 
 Subcommands: semigroup, twopoint, code, verify-paper.  JSON is the canonical
 output format (text and csv are views of the same dictionary), and identical
-invocations produce byte-identical output.
+invocations produce byte-identical output.  This module only wires arguments
+and formats reports: --G is read by rr.Divisor.parse, --place by
+KummerCurve.place, next to the code that prints those forms.
 
 Exit codes: 0 success; 2 bad curve configuration, or a curve, output or
 matrix file that cannot be read or written; 3 precondition violation;
@@ -20,7 +22,7 @@ from pathlib import Path
 
 from . import code as codemod
 from . import onepoint, rr, twopoint
-from .curve import ConfigError, KummerCurve, curve_from_config, load_curve, parse_curve_config
+from .curve import ConfigError, curve_from_config, load_curve, parse_curve_config
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -64,52 +66,13 @@ def _fail(exit_code: int, message: str) -> int:
     return exit_code
 
 
-def _parse_place(curve: KummerCurve, spec: str):
-    if spec in ("inf", "P_inf", "Pinf"):
-        return curve.place_infinity()
-    try:
-        index = int(spec)
-    except ValueError:
-        raise ValueError(f"bad place selector {spec!r}; use 'inf' or an index") from None
-    return curve.ramified_place(index)
-
-
-def _parse_divisor(curve: KummerCurve, spec: str) -> rr.Divisor:
-    """Mini-grammar: terms '<int>P_inf' or '<int>P_<i>' joined by '+'."""
-    coeff_inf = 0
-    coeffs: dict[int, int] = {}
-    for term in spec.replace(" ", "").split("+"):
-        if not term:
-            raise ValueError("empty term in divisor spec")
-        head, sep, tail = term.partition("P_")
-        if not sep:
-            raise ValueError(f"bad divisor term {term!r}; expected <int>P_inf or <int>P_<i>")
-        try:
-            coeff = int(head)
-        except ValueError:
-            raise ValueError(f"bad coefficient in divisor term {term!r}") from None
-        if tail == "inf":
-            coeff_inf += coeff
-        else:
-            try:
-                index = int(tail)
-            except ValueError:
-                raise ValueError(f"bad place index in divisor term {term!r}") from None
-            if not 1 <= index <= len(curve.alphas):
-                raise ValueError(
-                    f"place index {index} out of range 1..{len(curve.alphas)}"
-                )
-            coeffs[index] = coeffs.get(index, 0) + coeff
-    return rr.Divisor(coeff_inf, coeffs)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_semigroup(args) -> int:
     curve = load_curve(args.curve)
-    place = _parse_place(curve, args.place)
+    place = curve.place(args.place)
     sem = onepoint.semigroup_at(curve, place)
     payload = sem.to_dict()
     payload["place"] = place.label()
@@ -121,7 +84,7 @@ def cmd_semigroup(args) -> int:
 
 def cmd_twopoint(args) -> int:
     curve = load_curve(args.curve)
-    place = _parse_place(curve, args.place)
+    place = curve.place(args.place)
     if place.kind != "ramified":
         raise ValueError("the second point must be a finite ramified place")
     if args.gamma:
@@ -191,7 +154,7 @@ def _budget(args) -> int:
 
 def cmd_code(args) -> int:
     curve = load_curve(args.curve)
-    G = _parse_divisor(curve, args.G)
+    G = rr.Divisor.parse(args.G, len(curve.alphas))
     budget = _budget(args)
     if args.omega:
         lin = codemod.residue_code(curve, G)
@@ -369,12 +332,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_two = sub.add_parser("twopoint", help="two-point pairs, pure gaps, membership")
     common(p_two)
     p_two.add_argument("--place", default="1", help="finite ramified place index")
-    p_two.add_argument("--gamma", action="store_true",
-                       help="print the gap bijection pairs")
-    p_two.add_argument("--pure-gaps", type=int, metavar="BOUND",
-                       help="enumerate pure gaps with coordinates in [1, BOUND]")
-    p_two.add_argument("--member", type=int, nargs=2, metavar=("A", "B"),
-                       help="membership / pure-gap verdict for the pair (A, B)")
+    mode = p_two.add_mutually_exclusive_group()
+    mode.add_argument("--gamma", action="store_true",
+                      help="print the gap bijection pairs")
+    mode.add_argument("--pure-gaps", type=int, metavar="BOUND",
+                      help="enumerate pure gaps with coordinates in [1, BOUND]")
+    mode.add_argument("--member", type=int, nargs=2, metavar=("A", "B"),
+                      help="membership / pure-gap verdict for the pair (A, B)")
     p_two.set_defaults(fn=cmd_twopoint)
 
     p_code = sub.add_parser("code", help="build an AG code from a divisor")

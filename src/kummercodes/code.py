@@ -198,8 +198,8 @@ def evaluation_matrix(curve: "KummerCurve", fns: Sequence[rr.BasisFunction],
     for (y_pow, denom, f_pow), stratum in groupby(fns, lambda fn: (fn.y_pow, fn.denom, fn.f_pow)):
         js = np.array([fn.x_pow for fn in stratum], dtype=np.int64)
         base = y_pow * log_y - f_pow * log_f
-        for i, e in denom:
-            base -= e * t.log[t.add[xs, t.neg[curve.alphas[i - 1].enc]]]
+        for i, e in denom:  # e is unbounded, so reduce it to keep base in int64
+            base -= e % (field.q - 1) * t.log[t.add[xs, t.neg[curve.alphas[i - 1].enc]]]
         block = t.exp[(js[:, None] * log_x + base) % (field.q - 1)]
         block[np.ix_(js > 0, x_zero)] = 0
         raw[start:start + len(js), ordinary] = block
@@ -212,10 +212,17 @@ def evaluation_code(curve: "KummerCurve", G: rr.Divisor) -> LinearCode:
 
     Rows are the evaluations of the monomial basis of L(G), reduced to
     canonical RREF; k is the resulting rank (equal to l(G) whenever
-    deg G < n).  Designed distance: n - deg G.
+    deg G < n).  Designed distance: n - deg G.  From deg G >= n + 2g - 1
+    on, l(G - D) = deg G - n + 1 - g, so k = l(G) - l(G - D) = n and the
+    code is all of F_q^n: its RREF is the identity, built without a basis.
     """
     places = evaluation_places(curve, G)
     n = len(places)
+    if G.degree >= n + 2 * curve.genus - 1:
+        rr.check_named_support(curve, G)
+        gen = np.eye(n, dtype=curve.field.tables().add.dtype)
+        return LinearCode(field=curve.field, n=n, k=n, gen=gen,
+                          designed_d=n - G.degree, d_kind=GOPPA_L)
     fns = rr.basis(curve, G).functions
     if not fns:
         raise ValueError("L(G) is trivial; the code would be empty")
@@ -237,12 +244,12 @@ def residue_code(curve: "KummerCurve", G: rr.Divisor) -> LinearCode:
     box (twopoint.box_for_divisor).
     """
     primal = evaluation_code(curve, G)
-    gen = nullspace(curve.field, primal.gen)
-    if gen.shape[0] == 0:
+    if primal.k == primal.n:
         raise ValueError(
             f"the residue code is trivial: the evaluation code for G is all "
             f"of F_q^{primal.n} (k = 0)"
         )
+    gen = nullspace(curve.field, primal.gen)
     box = None
     supp = G.support_indices
     if len(supp) == 1 and G.coeff_inf >= 1:
@@ -342,6 +349,7 @@ def shorten(code: LinearCode, s: int) -> LinearCode:
     red, rev_pivots = rref(field, code.gen[:, ::-1])
     dropped = {code.n - 1 - col for col in rev_pivots[:s]}
     keep = [col for col in range(code.n) if col not in dropped]
-    gen, _ = rref(field, red[s:, ::-1][:, keep])
+    red = red[s:, ::-1][:, keep]  # frees the full rref before the second one
+    gen, _ = rref(field, red)
     assert gen.shape[0] == code.k - s
     return replace(code, n=code.n - s, k=code.k - s, gen=gen)

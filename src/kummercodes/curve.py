@@ -35,18 +35,6 @@ class Place:
     x: FieldElement | None = None
     y: FieldElement | None = None
 
-    @classmethod
-    def infinity(cls) -> "Place":
-        return cls(kind="infinity")
-
-    @classmethod
-    def ramified(cls, index: int) -> "Place":
-        return cls(kind="ramified", index=index)
-
-    @classmethod
-    def ordinary(cls, x: FieldElement, y: FieldElement) -> "Place":
-        return cls(kind="ordinary", x=x, y=y)
-
     def label(self) -> str:
         if self.kind == "infinity":
             return "P_inf"
@@ -90,14 +78,24 @@ class KummerCurve:
     # -- places ----------------------------------------------------------------
 
     def place_infinity(self) -> Place:
-        return Place.infinity()
+        return Place("infinity")
 
     def ramified_place(self, index: int) -> Place:
         if not 1 <= index <= len(self.alphas):
             raise ValueError(
                 f"ramified place index {index} out of range 1..{len(self.alphas)}"
             )
-        return Place.ramified(index)
+        return Place("ramified", index)
+
+    def place(self, spec: str) -> Place:
+        """Read a place selector: 'inf', 'Pinf', 'P_inf', an index 'i' or its label 'P_i'."""
+        if spec in ("inf", "P_inf", "Pinf"):
+            return Place("infinity")
+        try:
+            index = int(spec.removeprefix("P_"))
+        except ValueError:
+            raise ValueError(f"bad place selector {spec!r}; use 'inf' or an index") from None
+        return self.ramified_place(index)
 
     def rational_places(self) -> tuple[Place, ...]:
         """All degree-one places: P_inf, then the ramified places in
@@ -105,8 +103,8 @@ class KummerCurve:
         lexicographic (enc x, enc y) order."""
         if self._places is not None:
             return self._places
-        places = [Place.infinity()]
-        places += [Place.ramified(i) for i in range(1, len(self.alphas) + 1)]
+        places = [Place("infinity")]
+        places += [Place("ramified", i) for i in range(1, len(self.alphas) + 1)]
         power_of = {}
         for b in self.field.elements():
             power_of.setdefault((b ** self.m).enc, []).append(b)
@@ -116,7 +114,7 @@ class KummerCurve:
                 continue
             target = (fa ** self.lam).enc
             for b in power_of.get(target, ()):
-                places.append(Place.ordinary(a, b))
+                places.append(Place("ordinary", x=a, y=b))
         out = tuple(places)
         object.__setattr__(self, "_places", out)
         return out

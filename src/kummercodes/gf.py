@@ -407,13 +407,3 @@ def _smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
 def make_field(p: int, e: int = 1) -> Field:
     """The field F_(p**e) with the encoding-smallest irreducible modulus."""
     return Field(p, e)
-
-
-def mth_roots(v: FieldElement, m: int) -> set[FieldElement]:
-    """All b in F_q with b**m = v, by exhaustive scan.
-
-    For v != 0 the result has size 0 or gcd(m, q-1); 0 maps to {0}.
-    """
-    if m <= 0:
-        raise ValueError(f"root exponent must be positive, got {m}")
-    return {b for b in v.field.elements() if b ** m == v}

@@ -22,6 +22,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from .curve import KummerCurve, Place
     from .gf import FieldElement
 
+# largest l(D) that basis builds: an evaluation code needs at most n + g - 1
+MAX_BASIS = 2 ** 16
+
 
 class Divisor:
     """Integer combination of the places P_1..P_r and P_inf.
@@ -98,6 +101,33 @@ class Divisor:
         if self.coeff_inf:
             parts.insert(0, f"{self.coeff_inf}P_inf")
         return " + ".join(parts) or "0"
+
+    @classmethod
+    def parse(cls, text: str, named: int) -> "Divisor":
+        """Read what __repr__ prints: '0', or terms '<int>P_inf' and
+        '<int>P_<i>', 1 <= i <= named, joined by '+' (spaces ignored)."""
+        total, spec = cls(), text.replace(" ", "")
+        for term in spec.split("+") if spec != "0" else ():
+            if not term:
+                raise ValueError("empty term in divisor spec")
+            head, sep, tail = term.partition("P_")
+            if not sep:
+                raise ValueError(f"bad divisor term {term!r}; expected <int>P_inf or <int>P_<i>")
+            try:
+                coeff = int(head)
+            except ValueError:
+                raise ValueError(f"bad coefficient in divisor term {term!r}") from None
+            if tail == "inf":
+                total += cls(coeff)
+                continue
+            try:
+                index = int(tail)
+            except ValueError:
+                raise ValueError(f"bad place index in divisor term {term!r}") from None
+            if not 1 <= index <= named:
+                raise ValueError(f"place index {index} out of range 1..{named}")
+            total += cls.at_place(index, coeff)
+        return total
 
 
 def _strata(curve: "KummerCurve", D: Divisor):
@@ -236,13 +266,8 @@ class RRBasis:
         return [str(fn) for fn in self.functions]
 
 
-def basis(curve: "KummerCurve", D: Divisor) -> RRBasis:
-    """Monomial basis of L(D) from the y-power strata.
-
-    Requires supp(D) inside the named ramified places (plus P_inf); the
-    unnamed conjugate roots never need individual factors because they all
-    carry the same stratum coefficient, which groups into a power of f.
-    """
+def check_named_support(curve: "KummerCurve", D: Divisor) -> None:
+    """Raise ValueError unless every place of supp(D) has a rational center."""
     named = len(curve.alphas)
     for i, _ in D.coeffs:
         if i > named:
@@ -250,9 +275,24 @@ def basis(curve: "KummerCurve", D: Divisor) -> RRBasis:
                 f"divisor touches place P_{i} whose center is not in F_q; "
                 "no rational basis is available"
             )
+
+
+def basis(curve: "KummerCurve", D: Divisor) -> RRBasis:
+    """Monomial basis of L(D) from the y-power strata.
+
+    Requires supp(D) inside the named ramified places (plus P_inf); the
+    unnamed conjugate roots never need individual factors because they all
+    carry the same stratum coefficient, which groups into a power of f.
+    l(D) above MAX_BASIS raises ValueError before anything is built.
+    """
+    check_named_support(curve, D)
+    strata = list(_strata(curve, D))
+    size = sum(deg + 1 for _, _, deg, _ in strata)
+    if size > MAX_BASIS:
+        raise ValueError(f"l(D) = {size} exceeds the basis cap rr.MAX_BASIS = {MAX_BASIS}")
     return RRBasis(tuple(
         BasisFunction(y_pow=t, x_pow=j, denom=denom, f_pow=shared)
-        for t, shared, deg, denom in _strata(curve, D) for j in range(deg + 1)
+        for t, shared, deg, denom in strata for j in range(deg + 1)
     ))
 
 

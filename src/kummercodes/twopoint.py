@@ -239,19 +239,18 @@ def _grow_box(pure: set, beta: int, gamma: int, t1_first: bool) -> tuple[int, in
     return t1, t2
 
 
-def best_pure_gap_box(curve: "KummerCurve", n: int | None = None) -> BoxDesign:
+def best_pure_gap_box(curve: "KummerCurve", n: int) -> BoxDesign:
     """Search the pure-gap set for the rectangle designing the best code.
 
     Every pure gap seeds two greedily grown maximal rectangles (width first,
     then the transpose).  A rectangle [beta, beta+t1] x [gamma, gamma+t2]
     designs G = (2*beta+t1-1) P_inf + (2*gamma+t2-1) P with distance bound
-    PureGapBox.bound, subject to 2g - 2 < deg G < n.
+    PureGapBox.bound, subject to 2g - 2 < deg G < n, where n is the code
+    length the caller builds on: the rational places off P_inf and P.
 
     The best design has the largest designed distance, then the largest
     dimension k = n + g - 1 - deg G, then the lexicographically smallest box.
     """
-    if n is None:
-        n = len(curve.rational_places()) - 2
     pure_list = enumerate_pure_gaps(curve)
     if not pure_list:
         raise ValueError("no pure gaps found within the bound")

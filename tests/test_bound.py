@@ -109,7 +109,7 @@ def test_best_box_designs_are_pure_and_kept(bound_curves):
     designs = 0
     for c in bound_curves:
         try:
-            design = best_pure_gap_box(c)
+            design = best_pure_gap_box(c, len(c.rational_places()) - 2)
         except ValueError as exc:  # no rectangle designs 2g - 2 < deg G < n
             assert str(exc).startswith("no pure")
             continue

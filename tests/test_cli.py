@@ -1,11 +1,18 @@
+import argparse
+import contextlib
+import io
 import json
 import os
+import re
+import signal
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import kummercodes
 from kummercodes.cli import (
@@ -13,6 +20,7 @@ from kummercodes.cli import (
     EXIT_OK,
     EXIT_PRECONDITION,
     EXIT_VERIFY,
+    build_parser,
     main,
     write_reference_configs,
 )
@@ -348,3 +356,103 @@ def test_table_size_cap_exits_promptly(capsys, tmp_path):
     assert code == EXIT_PRECONDITION and out == ""
     assert "MAX_TABLE_Q = 2**12" in err
     assert time.perf_counter() - start < 30
+
+
+@pytest.mark.parametrize("modes", [
+    ("--gamma", "--member", "1", "1"),
+    ("--gamma", "--pure-gaps", "3"),
+    ("--pure-gaps", "3", "--member", "1", "1"),
+])
+def test_twopoint_modes_exclude_each_other(capsys, cfg_dir, modes):
+    with pytest.raises(SystemExit) as exc:
+        main(["twopoint", "--curve", str(cfg_dir / "f25_y3.cfg"), *modes])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and not captured.out
+    assert "not allowed with argument" in captured.err
+
+
+def test_printed_forms_are_accepted(capsys, cfg_dir):
+    # the report's "G" and "place" fields parse back as --G and --place
+    cfg = str(cfg_dir / "f25_y3.cfg")
+    code, out, _ = run_cli(capsys, "code", "--curve", cfg, "--G", "0")
+    assert code == EXIT_OK and json.loads(out)["G"] == "0"
+    code, out, _ = run_cli(capsys, "semigroup", "--curve", cfg, "--place", "P_2")
+    assert code == EXIT_OK and json.loads(out)["place"] == "P_2"
+    code, out, _ = run_cli(capsys, "twopoint", "--curve", cfg, "--place", "P_2", "--member", "3", "3")
+    assert code == EXIT_OK and json.loads(out)["place"] == "P_2"
+
+
+class _TooSlow(Exception):
+    pass
+
+
+_TOKENS = ("f25_y3", "f25_y6", "f64_y9")
+_CURVES = st.sampled_from(_TOKENS)
+_COEFF = st.one_of(st.integers(-10 ** 12, 10 ** 12), st.integers(-5, 300))
+_G_TEXT = st.one_of(
+    st.lists(st.builds("{}P_{}".format, _COEFF,
+                       st.sampled_from(["inf", "inf", "1", "2", "5", "9", "x"])),
+             min_size=1, max_size=3).map(" + ".join),
+    st.sampled_from(["0", "", "+", "P_inf", "5P_inf +", "5Q_inf", "1000000000000P_inf"]),
+)
+_CODE_ARGV = st.builds(
+    lambda curve, G, omega, exact, budget, s, matrix, fmt: [
+        "code", "--curve", curve, f"--G={G}", "--format", fmt,
+        *(["--omega"] if omega else []),
+        *(["--exact-d", "--budget", budget] if exact else []),
+        *(["--shorten", str(s)] if s else []),
+        *(["--matrix-out", matrix] if matrix else [])],
+    _CURVES, _G_TEXT, st.booleans(), st.booleans(), st.sampled_from(["200000", "1", "x"]),
+    st.one_of(st.just(0), st.integers(1, 300)), st.sampled_from([None, "gen.txt"]),
+    st.sampled_from(["json", "text", "csv"]),
+)
+_TWOPOINT_ARGV = st.builds(
+    lambda curve, place, mode: ["twopoint", "--curve", curve, "--place", place, *mode],
+    _CURVES, st.sampled_from(["1", "P_1", "P_2", "inf", "9", "x"]),
+    st.one_of(st.tuples(st.just("--member"), _COEFF.map(str), _COEFF.map(str)),
+              st.tuples(st.just("--pure-gaps"), _COEFF.map(str)),
+              st.just(("--gamma",)), st.just(())),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_CODE_ARGV, _TWOPOINT_ARGV))
+@example(["code", "--curve", "f25_y3", "--G", "3000000P_inf"])
+@example(["code", "--curve", "f25_y3", "--G", "99999999999P_inf", "--omega"])
+@example(["code", "--curve", "f25_y3", "--G", "1P_inf + 1000000P_1"])
+@example(["code", "--curve", "f25_y3", "--G", "1P_inf + 1000000P_1", "--omega"])
+@example(["code", "--curve", "f25_y3", f"--G={10 ** 22}P_inf + {10 - 10 ** 22}P_1"])
+def test_cli_answers_any_input_promptly(cfg_dir, argv):
+    # huge divisors and coefficients answer from the code's size, not the
+    # divisor's: every call exits 0, 2 or 3 within seconds, with no traceback
+    paths = {token: str(cfg_dir / f"{token}.cfg") for token in _TOKENS}
+    paths["gen.txt"] = str(cfg_dir / "gen.txt")
+    argv = [paths.get(a, a) for a in argv]
+
+    def too_slow(signum, frame):
+        raise _TooSlow(" ".join(argv))
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 3.0)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_PRECONDITION), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+def test_readme_cli_section_names_every_option():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {opt for p in sub.choices.values() for action in p._actions
+               for opt in action.option_strings if opt.startswith("--") and opt != "--help"}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    assert set(re.findall(r"--[A-Za-z][A-Za-z-]*", section)) == options

@@ -313,6 +313,28 @@ def test_ramified_places_in_evaluation_support(curve_y6_x5x):
     assert "infinity" not in kinds
 
 
+def test_full_divisors_give_the_identity_without_a_basis(curve_y3_x5x, curve_y6_x5x):
+    # from deg G >= n + 2g - 1 on, C_L is all of F_q^n: the identity is what
+    # rref of the evaluated basis gives, and it is built without the basis
+    for c in (curve_y3_x5x, curve_y6_x5x):
+        N, g = len(c.rational_places()), c.genus
+        for G in (Divisor.at_infinity(N + 2 * g - 2), Divisor(N + 2 * g + 4, {1: -3}),
+                  Divisor(1, {1: N + 2 * g})):
+            places = evaluation_places(c, G)
+            assert G.degree >= len(places) + 2 * g - 1
+            want, _ = rref(c.field, evaluation_matrix(c, basis(c, G).functions, places))
+            with mock.patch("kummercodes.rr.basis", side_effect=AssertionError("basis built")):
+                code = evaluation_code(c, G)
+                with pytest.raises(ValueError, match="residue code is trivial"):
+                    residue_code(c, G)
+            assert code.gen.dtype == want.dtype and code.gen.tolist() == want.tolist()
+            assert code.k == code.n == len(places) and code.designed_d == code.n - G.degree
+    f5 = make_field(5)
+    c_irr = make_curve(f5, 3, 1, Polynomial(f5, [2, 0, 1]))  # P_1's center is not in F_5
+    with pytest.raises(ValueError, match="not in F_q"):
+        evaluation_code(c_irr, Divisor(10 ** 12, {1: 4}))
+
+
 # ---------------------------------------------------------------------------
 # whole-array code construction against the per-element routes it replaced
 
@@ -331,7 +353,7 @@ def test_evaluation_matrix_matches_evaluate(p, e, m, lam, f):
     assert len(curve.alphas) == 2
     assert any(pl.kind == "ordinary" and pl.x.is_zero() for pl in curve.rational_places())
     for G in (Divisor(4, {1: 2}), Divisor(6, {1: -1, 2: 3}), Divisor(2, {1: 5}),
-              Divisor(0, {1: 7})):
+              Divisor(0, {1: 7}), Divisor(10 ** 22 + 6, {1: -10 ** 22, 2: 3})):
         fns = basis(curve, G).functions
         assert any(fn.denom for fn in fns)
         assert any(fn.f_pow for fn in fns) == (lam > 1)

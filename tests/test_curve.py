@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import kummercodes
-from kummercodes import Polynomial, make_curve, make_field, mth_roots
+from kummercodes import Polynomial, make_curve, make_field
 from kummercodes.curve import ConfigError, load_curve, parse_curve_config
 
 
@@ -82,7 +82,7 @@ def test_place_census_against_root_scan(curve_y3_x5x):
     for a in c.field.elements():
         fa = c.f(a)
         if not fa.is_zero():
-            expected += len(mth_roots(fa ** c.lam, c.m))
+            expected += sum(b ** c.m == fa ** c.lam for b in c.field.elements())
     assert len(c.rational_places()) == expected
 
 
@@ -176,3 +176,17 @@ def test_theory_path_does_not_import_numpy(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == []
+
+
+def test_place_reads_every_printed_label(curve_y3_x5x, curve_y9_quartic, curve_y6_x5x):
+    for c in (curve_y3_x5x, curve_y9_quartic, curve_y6_x5x):
+        named = [c.ramified_place(i) for i in range(1, len(c.alphas) + 1)]
+        for p in (c.place_infinity(), *named):
+            assert c.place(p.label()) == p
+        assert c.place("inf") == c.place("Pinf") == c.place_infinity()
+        assert [c.place(str(p.index)) for p in named] == named
+    with pytest.raises(ValueError, match="ramified place index 6 out of range 1..5"):
+        curve_y3_x5x.place("P_6")
+    for spec in ("P_x", "x", "P_1P"):
+        with pytest.raises(ValueError, match=f"bad place selector '{spec}'"):
+            curve_y3_x5x.place(spec)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kummercodes import gf
-from kummercodes.gf import Field, is_prime, make_field, mth_roots
+from kummercodes.gf import Field, is_prime, make_field
 
 
 # -- independent irreducibility oracle: gcd with x**(p**k) - x ---------------
@@ -189,32 +189,6 @@ def test_ring_axioms_f64(f64):
             b = a + c
             assert (a * b) * c == a * (b * c)
             assert a * (b + c) == a * b + a * c
-
-
-def test_mth_roots_basics(f25):
-    zero = f25.zero()
-    assert mth_roots(zero, 3) == {zero}
-    cubes_of_one = mth_roots(f25.one(), 3)
-    assert len(cubes_of_one) == 3  # gcd(3, 24) = 3
-    assert all(b ** 3 == f25.one() for b in cubes_of_one)
-    with pytest.raises(ValueError):
-        mth_roots(f25.one(), 0)
-
-
-def test_mth_roots_solvability_f64(f64):
-    # v is a 9th power iff v**7 = 1; some v with v**7 != 1 has no 9th root
-    one = f64.one()
-    v = next(a for a in f64.elements() if not a.is_zero() and a ** 7 != one)
-    assert mth_roots(v, 9) == set()
-    solvable = next(a for a in f64.elements() if not a.is_zero() and a ** 7 == one)
-    assert len(mth_roots(solvable, 9)) == 9
-
-
-@pytest.mark.parametrize("m", [3, 9])
-def test_mth_roots_partition(m, f25, f64):
-    for field in (f25, f64):
-        total = sum(len(mth_roots(v, m)) for v in field.elements())
-        assert total == field.q
 
 
 def test_element_hash_and_repr(f25):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kummercodes import Polynomial, make_curve, make_field
+from kummercodes import Polynomial, make_curve, make_field, rr
 from kummercodes.gf import is_prime
 from kummercodes.poly import is_separable, roots_in_field
 from kummercodes.rr import (
@@ -268,3 +268,33 @@ def test_evaluate_ramified_f_power():
                     fn = BasisFunction(y_pow=0, x_pow=j, denom=((i, -s),), f_pow=s)
                     value = fn.evaluate(c, c.ramified_place(i))
                     assert value == alpha ** j * h(alpha) ** (-s), (c, i, s, j)
+
+
+def test_divisor_parse_forms():
+    assert Divisor.parse("0", 0) == Divisor.parse(" 0 ", 3) == Divisor()
+    assert Divisor.parse("5P_inf + 2P_1 + -1P_inf + 3P_1", 1) == Divisor(4, {1: 5})
+    assert Divisor.parse("2P_1 + -2P_1", 1) == Divisor()
+    with pytest.raises(ValueError, match="bad divisor term '0'"):  # '0' is a whole divisor
+        Divisor.parse("0 + 5P_inf", 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6), st.data())
+def test_divisor_parse_reads_what_repr_prints(named, data):
+    coeff = st.integers(-10 ** 12, 10 ** 12)
+    coeff_inf = data.draw(st.one_of(st.just(0), coeff), label="coeff_inf")
+    places = st.integers(1, named) if named else st.nothing()
+    coeffs = data.draw(st.dictionaries(places, coeff, max_size=named), label="coeffs")
+    D = Divisor(coeff_inf, coeffs)
+    assert Divisor.parse(repr(D), named) == D
+
+
+def test_basis_cap(curve_y3_x5x, monkeypatch):
+    c = curve_y3_x5x
+    with pytest.raises(ValueError, match=r"l\(D\) = 999999999997 exceeds the basis cap "
+                                         r"rr.MAX_BASIS = 65536"):
+        basis(c, Divisor.at_infinity(10 ** 12))
+    monkeypatch.setattr(rr, "MAX_BASIS", 8)
+    assert basis(c, Divisor.at_infinity(11)).dimension == 8 == dim(c, Divisor.at_infinity(11))
+    with pytest.raises(ValueError, match="rr.MAX_BASIS = 8"):
+        basis(c, Divisor.at_infinity(12))

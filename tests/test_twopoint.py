@@ -159,20 +159,20 @@ def test_verified_box(curve_y9_quartic):
 
 
 def test_best_box_reference_curves(curve_y9_quartic, curve_y6_x5x):
-    design = best_pure_gap_box(curve_y9_quartic)
+    design = best_pure_gap_box(curve_y9_quartic, 255)
     assert design.n == 255
     assert design.designed_distance == 18 and design.k == 228
     assert (design.box.beta, design.box.gamma, design.box.t1, design.box.t2) == (1, 19, 0, 0)
     assert design.deg_G == 38
     # the published choice (10, 10, 0, 0) designs the same [255, 228, >= 18]
-    d3 = best_pure_gap_box(curve_y6_x5x)
+    d3 = best_pure_gap_box(curve_y6_x5x, 124)
     assert (d3.box.beta, d3.box.gamma, d3.box.t1, d3.box.t2) == (1, 13, 0, 1)
     assert d3.designed_distance == 12 and d3.k == 106 and d3.n == 124
 
 
 def test_box_design_to_dict(curve_y9_quartic):
     # the benchmark's theory jobs hash this dict
-    assert best_pure_gap_box(curve_y9_quartic).to_dict() == {
+    assert best_pure_gap_box(curve_y9_quartic, 255).to_dict() == {
         "beta": 1, "gamma": 19, "t1": 0, "t2": 0, "inf_coeff": 1,
         "place_coeff": 37, "degG": 38, "designed_d": 18, "k": 228,
     }
@@ -183,7 +183,7 @@ def test_best_box_errors():
     g1 = make_curve(f5, 3, 1, Polynomial.from_roots(f5, [0, 1]))
     assert enumerate_pure_gaps(g1) == ()
     with pytest.raises(ValueError, match="no pure gaps"):
-        best_pure_gap_box(g1)
+        best_pure_gap_box(g1, len(g1.rational_places()) - 2)
 
 
 def test_box_for_divisor(curve_y9_quartic, curve_y6_x5x, curve_y3_x5x):
