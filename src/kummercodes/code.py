@@ -161,7 +161,9 @@ def field_matmul(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def evaluation_places(curve: "KummerCurve", G: rr.Divisor):
-    """The rational places outside supp(G), in the canonical order."""
+    """The rational places outside supp(G), in the canonical order; raises
+    ValueError unless every place of supp(G) has a rational center."""
+    rr.check_named_support(curve, G)
     supp = {("ramified", i) for i in G.support_indices}
     if G.coeff_inf:
         supp.add(("infinity", 0))
@@ -219,7 +221,6 @@ def evaluation_code(curve: "KummerCurve", G: rr.Divisor) -> LinearCode:
     places = evaluation_places(curve, G)
     n = len(places)
     if G.degree >= n + 2 * curve.genus - 1:
-        rr.check_named_support(curve, G)
         gen = np.eye(n, dtype=curve.field.tables().add.dtype)
         return LinearCode(field=curve.field, n=n, k=n, gen=gen,
                           designed_d=n - G.degree, d_kind=GOPPA_L)
@@ -241,13 +242,15 @@ def residue_code(curve: "KummerCurve", G: rr.Divisor) -> LinearCode:
 
     Its designed distance is the Goppa bound deg G - (2g - 2), raised to
     PureGapBox.bound when G = a*P_inf + b*P_i with a >= 1 has a pure-gap
-    box (twopoint.box_for_divisor).
+    box (twopoint.box_for_divisor).  A trivial dual raises ValueError, and
+    from deg G >= n + 2g - 1 on it does so before anything is built.
     """
-    primal = evaluation_code(curve, G)
-    if primal.k == primal.n:
+    n = len(evaluation_places(curve, G))
+    primal = None if G.degree >= n + 2 * curve.genus - 1 else evaluation_code(curve, G)
+    if primal is None or primal.k == n:
         raise ValueError(
             f"the residue code is trivial: the evaluation code for G is all "
-            f"of F_q^{primal.n} (k = 0)"
+            f"of F_q^{n} (k = 0)"
         )
     gen = nullspace(curve.field, primal.gen)
     box = None

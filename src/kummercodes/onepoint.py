@@ -1,9 +1,9 @@
 """One-point Weierstrass semigroups at the totally ramified places.
 
-Three independent routes to the same gap sets live in this package: the
-closed-form gap family implemented here, the residue criterion
-(:func:`is_gap`), and the dimension oracle in :mod:`.rr`.  The test suite
-sweeps all of them against each other.
+Both gap sets, and the gap graph of :mod:`.twopoint`, are read off one
+lattice walk, :func:`gap_pairs`.  Two more routes to the same gap sets stay
+as cross-checks: the residue criterion (:func:`is_gap`) and the dimension
+oracle in :mod:`.rr`.  The test suite sweeps all of them against each other.
 
 All comparisons are exact integer arithmetic; the fractional-part condition
 of the residue criterion is cleared of denominators before comparing.
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import ceil, gcd as int_gcd
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover
     from .curve import KummerCurve, Place
@@ -143,28 +143,32 @@ def is_gap(curve: "KummerCurve", place: "Place", s: int) -> bool:
     return r * (-s % m) > m * (1 + (s - 1) // m)
 
 
+def gap_pairs(m: int, r: int) -> Iterator[tuple[int, int]]:
+    """The lattice {(i, j) : i, j >= 1, m*j + r*i < m*r} as pairs
+    (m*r - m*j - r*i, i + m*(j - 1)): a gap at P_inf, paired with a gap at
+    a place over a root of f."""
+    for i in range(1, m - m // r):
+        for j in range(1, r - (r * i) // m):
+            yield m * r - m * j - r * i, i + m * (j - 1)
+
+
 @lru_cache(maxsize=None)
 def semigroups(m: int, r: int) -> tuple[NumericalSemigroup, NumericalSemigroup]:
-    """(H(P_inf), H(P)) as functions of (m, r): <m, r>, and the complement
-    of the doubly indexed gap family {1 + i + m*j}, which is the same at
-    every place over a root of f, rational center or not."""
-    gaps = []
-    for i in range(0, m - 1 - m // r):
-        for j in range(0, r - 1 - (r * (i + 1)) // m):
-            gaps.append(1 + i + m * j)
-    return NumericalSemigroup.from_generators((m, r)), NumericalSemigroup(gaps)
+    """(H(P_inf), H(P)) as functions of (m, r): <m, r>, and the semigroup at
+    every place over a root of f, rational center or not; each is the
+    complement of one projection of gap_pairs."""
+    return (NumericalSemigroup(a for a, _ in gap_pairs(m, r)),
+            NumericalSemigroup(b for _, b in gap_pairs(m, r)))
 
 
 def semigroup_at(curve: "KummerCurve", place: "Place") -> NumericalSemigroup:
     """The Weierstrass semigroup at a totally ramified place.
 
     P_inf carries <m, r>; a place over a root of f carries the complement of
-    the closed-form gap family {1 + i + m*j}.  Either way the gap count must
+    the gaps i + m*(j - 1) of gap_pairs.  Either way the gap count must
     equal the genus, which is asserted.
     """
     _require_ramified(place, allow_infinity=True)
-    if curve.genus < 1:
-        raise ValueError("gap theory needs genus >= 1")
     sem = semigroups(curve.m, curve.r)[place.kind != "infinity"]
     assert sem.genus == curve.genus, "gap count must equal the curve genus"
     return sem

@@ -3,9 +3,10 @@
 All finite totally ramified places carry the same structure, and as
 gcd(m, lambda) = 1, y' = y**a / f**b with a*lambda - b*m = 1 turns the
 curve into y'**m = f(x) fixing x, P_inf and every P_i.  So everything here
-depends only on (m, r) and is memoised on those integers; pure gaps come
-from the floor criterion for every lambda, and the dimension oracle of
-:mod:`.rr` stays as the cross-check (tests, ``--member``, verify-paper).
+depends only on (m, r) and is memoised on those integers: the gap graph is
+the lattice walk onepoint.gap_pairs, pure gaps come from the floor
+criterion for every lambda, and the dimension oracle of :mod:`.rr` stays as
+the cross-check (tests, ``--member``, verify-paper).
 The pair convention: first coordinate at P_inf, second at P.
 """
 
@@ -16,7 +17,7 @@ from functools import lru_cache
 from math import isqrt
 from typing import TYPE_CHECKING
 
-from .onepoint import semigroups
+from .onepoint import gap_pairs, semigroups
 
 if TYPE_CHECKING:  # pragma: no cover
     from .curve import KummerCurve
@@ -71,26 +72,15 @@ class PureGapBox:
 
 
 def gap_graph(curve: "KummerCurve") -> GapGraph:
-    """Pairs (m*r - m*j - r*i, i + m*(j-1)) over the double index range,
-    checked to biject the two one-point gap sets."""
-    if curve.genus < 1:
-        raise ValueError("gap theory needs genus >= 1")
+    """The pairs of onepoint.gap_pairs, sorted; its projections are the gap
+    sets of onepoint.semigroups."""
     return _gap_graph(curve.m, curve.r)
 
 
 @lru_cache(maxsize=None)
 def _gap_graph(m: int, r: int) -> GapGraph:
-    pairs = []
-    for i in range(1, m - m // r):
-        for j in range(1, r - (r * i) // m):
-            pairs.append((m * r - m * j - r * i, i + m * (j - 1)))
-    pairs.sort()
-    graph = GapGraph(tuple(pairs))
-    g = (m - 1) * (r - 1) // 2
-    assert len(graph.pairs) == g, "pair count must equal the genus"
-    sem_inf, sem_p = semigroups(m, r)
-    assert sorted(a for a, _ in pairs) == list(sem_inf.gaps)
-    assert sorted(b for _, b in pairs) == list(sem_p.gaps)
+    graph = GapGraph(tuple(sorted(gap_pairs(m, r))))
+    assert len(graph.pairs) == (m - 1) * (r - 1) // 2, "pair count must equal the genus"
     return graph
 
 

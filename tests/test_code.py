@@ -335,6 +335,22 @@ def test_full_divisors_give_the_identity_without_a_basis(curve_y3_x5x, curve_y6_
         evaluation_code(c_irr, Divisor(10 ** 12, {1: 4}))
 
 
+def test_trivial_residue_code_builds_no_field_tables(curve_y3_x5x, curve_y6_x5x):
+    # from deg G >= n + 2g - 1 on, C_Omega is trivial by n, g and deg G alone;
+    # a G on a place without a rational center is still refused for that first
+    f5 = make_field(5)
+    c_irr = make_curve(f5, 3, 1, Polynomial(f5, [2, 0, 1]))  # P_1's center is not in F_5
+    with mock.patch.object(gf.Field, "tables", side_effect=AssertionError("tables built")):
+        for c in (curve_y3_x5x, curve_y6_x5x):
+            N, g = len(c.rational_places()), c.genus
+            for G in (Divisor.at_infinity(N + 2 * g - 2), Divisor(1, {1: N + 2 * g}),
+                      Divisor(10 ** 12, {2: 4})):
+                with pytest.raises(ValueError, match="residue code is trivial"):
+                    residue_code(c, G)
+        with pytest.raises(ValueError, match="not in F_q"):
+            residue_code(c_irr, Divisor(10 ** 12, {1: 4}))
+
+
 # ---------------------------------------------------------------------------
 # whole-array code construction against the per-element routes it replaced
 

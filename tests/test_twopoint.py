@@ -1,12 +1,13 @@
 import random
 import time
 from functools import lru_cache
+from math import gcd
 
 import pytest
 
 from kummercodes import Polynomial, make_curve, make_field
 from kummercodes import rr
-from kummercodes.onepoint import semigroup_at
+from kummercodes.onepoint import NumericalSemigroup, gap_pairs, semigroup_at
 from kummercodes.twopoint import (
     PureGapBox,
     best_pure_gap_box,
@@ -40,16 +41,21 @@ def test_gap_graph_small_cases(curve_y3_x5x):
     assert gap_graph(curve_y3_x5x).pairs == ((1, 7), (2, 2), (4, 4), (7, 1))
 
 
-def test_gap_graph_coordinates_biject_gap_sets(grid_curves):
-    for c in grid_curves[:15]:
-        graph = gap_graph(c)
-        assert len(graph.pairs) == c.genus
-        assert {a for a, _ in graph.pairs} == set(
-            semigroup_at(c, c.place_infinity()).gaps
-        )
-        assert {b for _, b in graph.pairs} == set(
-            semigroup_at(c, c.ramified_place(1)).gaps
-        )
+def test_gap_graph_coordinates_biject_gap_sets():
+    # the one lattice walk against routes that do not read it: the sieve of
+    # <m, r> at P_inf, the residue criterion at P, and the genus count
+    for m in range(2, 41):
+        for r in range(2, 41):
+            if gcd(m, r) != 1:
+                continue
+            pairs = list(gap_pairs(m, r))
+            g = (m - 1) * (r - 1) // 2
+            assert len(pairs) == g
+            firsts, seconds = zip(*pairs)
+            assert sorted(firsts) == list(NumericalSemigroup.from_generators((m, r)).gaps)
+            # every gap lies below 2g, and the criterion holds for none past it
+            residue = [s for s in range(1, 2 * g + m) if r * (-s % m) > m * (1 + (s - 1) // m)]
+            assert sorted(seconds) == residue
 
 
 def test_graph_pairs_are_members(curve_y9_quartic):
