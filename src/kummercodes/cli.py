@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -88,22 +87,17 @@ def cmd_twopoint(args) -> int:
     if place.kind != "ramified":
         raise ValueError("the second point must be a finite ramified place")
     if args.gamma:
-        graph = twopoint.gap_graph(curve)
-        payload = {"place": place.label(), "pairs": graph.to_list(), "genus": curve.genus}
-        _emit(payload, args.format, args.output)
-        return EXIT_OK
-    if args.pure_gaps is not None:
-        bound = args.pure_gaps
-        gaps = twopoint.enumerate_pure_gaps(curve, bound)
+        payload = {"place": place.label(), "pairs": twopoint.gap_graph(curve).to_list(),
+                   "genus": curve.genus}
+    elif args.pure_gaps is not None:
+        gaps = twopoint.enumerate_pure_gaps(curve, args.pure_gaps)
         payload = {
             "place": place.label(),
-            "bound": bound,
+            "bound": args.pure_gaps,
             "count": len(gaps),
             "pure_gaps": [list(p) for p in gaps],
         }
-        _emit(payload, args.format, args.output)
-        return EXIT_OK
-    if args.member is not None:
+    elif args.member is not None:
         a, b = args.member
         member_formula = twopoint.is_member(curve, a, b)
         member_oracle = rr.member_by_dims(curve, a, b, index=place.index)
@@ -129,33 +123,15 @@ def cmd_twopoint(args) -> int:
             payload["verdict"] = "gap, pure"
         else:
             payload["verdict"] = "gap"
-        _emit(payload, args.format, args.output)
-        return EXIT_OK
-    raise ValueError("choose one of --gamma, --pure-gaps, --member")
-
-
-def _budget(args) -> int:
-    """The enumeration budget from --budget, else KUMMER_BUDGET, else the
-    default; anything but a positive integer is rejected."""
-    if args.budget is not None:
-        source, raw = "--budget", args.budget
-    elif "KUMMER_BUDGET" in os.environ:
-        source, raw = "KUMMER_BUDGET", os.environ["KUMMER_BUDGET"]
     else:
-        return codemod.DEFAULT_BUDGET
-    try:
-        budget = int(raw)
-    except ValueError:
-        budget = None
-    if budget is None or budget < 1:
-        raise ValueError(f"{source} must be a positive integer, got {raw!r}")
-    return budget
+        raise ValueError("choose one of --gamma, --pure-gaps, --member")
+    _emit(payload, args.format, args.output)
+    return EXIT_OK
 
 
 def cmd_code(args) -> int:
     curve = load_curve(args.curve)
     G = rr.Divisor.parse(args.G, len(curve.alphas))
-    budget = _budget(args)
     if args.omega:
         lin = codemod.residue_code(curve, G)
     else:
@@ -164,11 +140,11 @@ def cmd_code(args) -> int:
     payload["G"] = repr(G)
     payload["genus"] = curve.genus
     if args.exact_d:
-        exact = codemod.exact_min_distance(lin, budget=budget)
+        exact = codemod.exact_min_distance(lin, budget=args.budget)
         if exact is None:
             sys.stderr.write(
                 f"notice: q^k = {curve.field.q}**{lin.k} exceeds the budget "
-                f"{budget}; exact distance omitted\n"
+                f"{args.budget}; exact distance omitted\n"
             )
         else:
             payload["exact_d"] = exact
@@ -351,9 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="brute-force the exact minimum distance")
     p_code.add_argument("--shorten", type=int, default=0, metavar="S",
                         help="also report the code shortened on S coordinates")
-    p_code.add_argument("--budget",
+    p_code.add_argument("--budget", type=int, default=codemod.DEFAULT_BUDGET,
                         help="scan for --exact-d only if q^k <= this positive "
-                             "integer (default KUMMER_BUDGET or 2^24)")
+                             "integer (default 2^24)")
     p_code.add_argument("--matrix-out", help="write the generator matrix here")
     p_code.set_defaults(fn=cmd_code)
 

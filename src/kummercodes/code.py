@@ -274,8 +274,8 @@ def residue_code(curve: "KummerCurve", G: rr.Divisor) -> LinearCode:
 def exact_min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int | None:
     """Minimum Hamming weight over all nonzero codewords.
 
-    Returns None when q**k exceeds the enumeration budget and raises
-    ValueError on a code with k = 0, which has no nonzero codeword.
+    Returns None when q**k exceeds the budget, and raises ValueError on a
+    budget below 1 or on a code with k = 0, which has no nonzero codeword.
 
     c*w has the weight of w for c != 0, so each of the (q**k - 1)/(q - 1)
     scalar classes is scanned once, through its message whose first nonzero
@@ -295,6 +295,8 @@ def exact_min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int | 
     so the result is exact and deterministic.
     """
     q, k, n = code.field.q, code.k, code.n
+    if budget < 1:
+        raise ValueError(f"budget must be a positive integer, got {budget}")
     if k == 0:
         raise ValueError("the code has dimension k = 0 and no nonzero codeword")
     if q ** k > budget:

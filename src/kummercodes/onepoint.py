@@ -1,9 +1,10 @@
 """One-point Weierstrass semigroups at the totally ramified places.
 
 Both gap sets, and the gap graph of :mod:`.twopoint`, are read off one
-lattice walk, :func:`gap_pairs`.  Two more routes to the same gap sets stay
-as cross-checks: the residue criterion (:func:`is_gap`) and the dimension
-oracle in :mod:`.rr`.  The test suite sweeps all of them against each other.
+lattice walk, :func:`gap_pairs`, for genus up to MAX_GENUS.  Two more routes
+to the same gap sets stay as cross-checks: the closed-form gap tests of
+:func:`is_gap`, which never walk, and the dimension oracle in :mod:`.rr`.
+The test suite sweeps all of them against each other.
 
 All comparisons are exact integer arithmetic; the fractional-part condition
 of the residue criterion is cleared of denominators before comparing.
@@ -17,6 +18,9 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover
     from .curve import KummerCurve, Place
+
+# the walk's time and memory grow with the genus (m - 1)(r - 1)/2
+MAX_GENUS = 2 ** 16
 
 
 class NumericalSemigroup:
@@ -74,20 +78,24 @@ class NumericalSemigroup:
     def generators(self) -> tuple[int, ...]:
         """Minimal generators: members not expressible as a sum of two
         smaller positive members (all of them lie below conductor + least
-        positive member)."""
+        positive member).  Such a sum is a smaller generator plus a positive
+        member, so one bit-set shift per generator marks all of them."""
         if self._generators is not None:
             return self._generators
         if self.genus == 0:
             object.__setattr__(self, "_generators", (1,))
             return (1,)
         least = next(n for n in range(1, self.conductor + 1) if n in self)
-        gens = []
-        for n in range(1, self.conductor + least + 1):
-            if n not in self:
-                continue
-            if any((k in self) and ((n - k) in self) for k in range(1, n)):
-                continue
-            gens.append(n)
+        top = self.conductor + least
+        # bit n is set iff n is a positive member below top
+        positive = int("".join("1" if n in self else "0" for n in range(top - 1, 0, -1)) + "0", 2)
+        sums, marked, gens = 0, "", []
+        for n in range(least, top):
+            if n in self and marked[n:n + 1] != "1":
+                gens.append(n)
+                if n < self.conductor:  # larger ones only reach top and past
+                    sums |= positive << n
+                    marked = bin(sums)[:1:-1]
         out = tuple(gens)
         object.__setattr__(self, "_generators", out)
         return out
@@ -131,25 +139,27 @@ def is_gap(curve: "KummerCurve", place: "Place", s: int) -> bool:
     of (m, r) alone for every lambda.  Multiples of m are never gaps.
 
     At P_inf the pole numbers form <m, r>, so the criterion above does not
-    apply (it describes the finite ramified places); membership in <m, r>
-    decides instead.
+    apply (it describes the finite ramified places).  There s = a*m + b*r
+    with a, b >= 0 needs b = s/r mod m, so s is a gap iff s < r*(s/r mod m).
     """
     _require_ramified(place, allow_infinity=True)
     if s < 0:
         raise ValueError("s must be non-negative")
     m, r = curve.m, curve.r
     if place.kind == "infinity":
-        return s not in semigroups(m, r)[0]
+        return s < r * (s * pow(r, -1, m) % m)
     return r * (-s % m) > m * (1 + (s - 1) // m)
 
 
 def gap_pairs(m: int, r: int) -> Iterator[tuple[int, int]]:
     """The lattice {(i, j) : i, j >= 1, m*j + r*i < m*r} as pairs
     (m*r - m*j - r*i, i + m*(j - 1)): a gap at P_inf, paired with a gap at
-    a place over a root of f."""
-    for i in range(1, m - m // r):
-        for j in range(1, r - (r * i) // m):
-            yield m * r - m * j - r * i, i + m * (j - 1)
+    a place over a root of f.  A genus past MAX_GENUS raises ValueError."""
+    genus = (m - 1) * (r - 1) // 2
+    if genus > MAX_GENUS:
+        raise ValueError(f"genus {genus} exceeds onepoint.MAX_GENUS = {MAX_GENUS}")
+    return ((m * r - m * j - r * i, i + m * (j - 1))
+            for i in range(1, m - m // r) for j in range(1, r - (r * i) // m))
 
 
 @lru_cache(maxsize=None)

@@ -214,18 +214,13 @@ class BoxDesign:
         }
 
 
-def _grow_box(pure: set, beta: int, gamma: int, t1_first: bool) -> tuple[int, int]:
+def _grow_box(pure: set, beta: int, gamma: int) -> tuple[int, int]:
+    """Grow [beta, beta+t1] x [gamma, gamma+t2] inside pure, t1 first."""
     t1 = t2 = 0
-    if t1_first:
-        while (beta + t1 + 1, gamma) in pure:
-            t1 += 1
-        while all((beta + da, gamma + t2 + 1) in pure for da in range(t1 + 1)):
-            t2 += 1
-    else:
-        while (beta, gamma + t2 + 1) in pure:
-            t2 += 1
-        while all((beta + t1 + 1, gamma + db) in pure for db in range(t2 + 1)):
-            t1 += 1
+    while (beta + t1 + 1, gamma) in pure:
+        t1 += 1
+    while all((beta + da, gamma + t2 + 1) in pure for da in range(t1 + 1)):
+        t2 += 1
     return t1, t2
 
 
@@ -245,11 +240,12 @@ def best_pure_gap_box(curve: "KummerCurve", n: int) -> BoxDesign:
     if not pure_list:
         raise ValueError("no pure gaps found within the bound")
     pure = set(pure_list)
+    transposed = {(b, a) for a, b in pure_list}
     g = curve.genus
     candidates: dict[PureGapBox, BoxDesign] = {}
     for beta, gamma in pure_list:
-        for t1_first in (True, False):
-            t1, t2 = _grow_box(pure, beta, gamma, t1_first)
+        for t1, t2 in (_grow_box(pure, beta, gamma),
+                       _grow_box(transposed, gamma, beta)[::-1]):
             box = PureGapBox(beta, gamma, t1, t2)
             if box in candidates:
                 continue

@@ -157,32 +157,45 @@ def test_code_omega_with_box_upgrade(capsys, cfg_dir):
         assert payload["d_kind"] == kind and payload["designed_d"] == designed_d
 
 
-def test_code_budget_notice(capsys, cfg_dir, monkeypatch):
-    monkeypatch.setenv("KUMMER_BUDGET", "100")
+def test_code_budget_notice(capsys, cfg_dir):
     code, out, err = run_cli(
         capsys, "code", "--curve", str(cfg_dir / "f25_y3.cfg"),
-        "--G", "5P_inf", "--exact-d",
+        "--G", "5P_inf", "--exact-d", "--budget", "100",
     )
     assert code == EXIT_OK
     assert "exact_d" not in json.loads(out)
     assert "budget" in err
 
 
-def test_code_budget_validation(capsys, cfg_dir, monkeypatch):
+def test_code_budget_validation(capsys, cfg_dir):
     args = ("code", "--curve", str(cfg_dir / "f25_y3.cfg"), "--G", "5P_inf", "--exact-d")
-    monkeypatch.setenv("KUMMER_BUDGET", "abc")
-    code, out, err = run_cli(capsys, *args)
-    assert code == EXIT_PRECONDITION and not out and "KUMMER_BUDGET" in err
-    for bad in ("-5", "0", "abc"):
+    for bad in ("-5", "0"):
         code, out, err = run_cli(capsys, *args, "--budget", bad)
-        assert code == EXIT_PRECONDITION and not out and "--budget" in err
-    monkeypatch.delenv("KUMMER_BUDGET")
+        assert code == EXIT_PRECONDITION and not out and "budget" in err
+        # only the scan reads the budget
+        code, out, err = run_cli(capsys, *args[:-1], "--budget", bad)
+        assert code == EXIT_OK and "exact_d" not in json.loads(out) and not err
+    with pytest.raises(SystemExit) as exc:  # not an integer: a usage error
+        main([*args, "--budget", "abc"])
+    assert exc.value.code == 2 and "--budget" in capsys.readouterr().err
     # scan iff q^k <= budget; q^k = 25^3 = 15625
     code, out, err = run_cli(capsys, *args, "--budget", "15625")
     assert code == EXIT_OK and json.loads(out)["exact_d"] == 60 and not err
     code, out, err = run_cli(capsys, *args, "--budget", "15624")
     assert code == EXIT_OK and "exact_d" not in json.loads(out)
     assert "exceeds the budget" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "1"])
+def test_code_ignores_kummer_budget_env(capsys, cfg_dir, monkeypatch, value):
+    # the budget has one source, --budget; the environment changes nothing
+    args = ("code", "--curve", str(cfg_dir / "f25_y3.cfg"), "--G", "5P_inf")
+    for argv in (args, (*args, "--exact-d")):
+        monkeypatch.delenv("KUMMER_BUDGET", raising=False)
+        want = run_cli(capsys, *argv)
+        monkeypatch.setenv("KUMMER_BUDGET", value)
+        assert run_cli(capsys, *argv) == want
+        assert want[0] == EXIT_OK
 
 
 def test_code_degenerate_dual_rejected(capsys, cfg_dir):

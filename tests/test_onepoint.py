@@ -1,7 +1,12 @@
+import time
+from math import gcd
+from types import SimpleNamespace
+
 import pytest
 
-from kummercodes import Polynomial, make_curve, make_field
+from kummercodes import Polynomial, make_curve, make_field, onepoint
 from kummercodes import rr
+from kummercodes.cli import EXIT_PRECONDITION, main
 from kummercodes.onepoint import (
     NumericalSemigroup,
     check_consecutive_form,
@@ -34,6 +39,29 @@ def test_additive_closure_up_to_twice_conductor():
             for b in members:
                 if a + b <= 2 * s.conductor:
                     assert a + b in s
+
+
+def test_generators_are_the_sums_free_members():
+    sems = [s for m in range(2, 17) for r in range(2, 17) if gcd(m, r) == 1
+            for s in onepoint.semigroups(m, r)]
+    sems += [NumericalSemigroup.from_generators(g) for g in ((6, 10, 15), (11, 13, 17, 19))]
+    for sem in sems:
+        least = min(n for n in range(1, sem.conductor + 1) if n in sem)
+        brute = tuple(n for n in range(1, sem.conductor + least + 1) if n in sem
+                      and not any(k in sem and n - k in sem for k in range(1, n)))
+        assert sem.generators == brute, sem.gaps
+
+
+def test_generators_fast_at_large_genus():
+    # y^(2g+1) = f with deg f = 2: H(P_inf) = <2, 2g+1>, and H(P) is generated
+    # by the g + 1 consecutive integers g+1, ..., 2g+1, each of which a
+    # member-by-member search would test against every smaller integer
+    g = 2 ** 14
+    sem_inf, sem_p = onepoint.semigroups(2 * g + 1, 2)
+    start = time.perf_counter()
+    assert sem_inf.generators == (2, 2 * g + 1)
+    assert sem_p.generators == tuple(range(g + 1, 2 * g + 2))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_reference_gap_sets(curve_y9_quartic, curve_y3_x5x):
@@ -147,3 +175,38 @@ def test_semigroup_serialization(curve_y9_quartic):
     d = sem.to_dict()
     assert d["generators"] == [4, 9]
     assert d["genus"] == 12 and d["frobenius"] == 23
+
+
+def test_gap_test_at_infinity_is_a_closed_form(curve_y9_quartic, monkeypatch):
+    # is_gap at P_inf must not read the walk behind semigroups: with
+    # semigroups stubbed to wrong sets it still matches the sieve of <m, r>
+    wrong = (NumericalSemigroup(()), NumericalSemigroup(()))
+    monkeypatch.setattr(onepoint, "semigroups", lambda m, r: wrong)
+    pinf = curve_y9_quartic.place_infinity()
+    for m in range(2, 41):
+        for r in range(2, 41):
+            if gcd(m, r) != 1:
+                continue
+            sieve = NumericalSemigroup.from_generators((m, r))
+            curve = SimpleNamespace(m=m, r=r)
+            got = [s for s in range(sieve.conductor + 2) if is_gap(curve, pinf, s)]
+            assert tuple(got) == sieve.gaps, (m, r)
+
+
+def test_walk_capped_by_genus(tmp_path, capsys):
+    # y^(2g+1) = x^2 + x over F_2 has genus g
+    assert onepoint.MAX_GENUS == 2 ** 16
+    onepoint.gap_pairs(2 * onepoint.MAX_GENUS + 1, 2)  # at the cap: allowed
+    with pytest.raises(ValueError, match="MAX_GENUS"):
+        onepoint.gap_pairs(2 * onepoint.MAX_GENUS + 3, 2)
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(f"p = 2\ne = 1\nm = {2 * 65537 + 1}\nlambda = 1\nf = 0,1,1\n")
+    for argv in (["semigroup", "--curve", str(cfg)],
+                 ["twopoint", "--curve", str(cfg), "--gamma"],
+                 ["twopoint", "--curve", str(cfg), "--member", "1", "1"]):
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == EXIT_PRECONDITION and "genus 65537" in err and "MAX_GENUS" in err
+        assert elapsed < 0.5
