@@ -9,9 +9,9 @@ Homma-Kim bound of that box, else the Goppa bound deg G - (2g - 2).
 
 Matrix work runs on numpy arrays of canonical encodings, in the field's
 encoding dtype (uint8 for q <= 256, else uint16), through the exact field
-lookup tables, on whole arrays: the basis is evaluated at the ordinary
-places one y-stratum at a time by exp/log gathers, and rref eliminates each
-pivot column in one gather per block of rows.  One rref of the columns in
+lookup tables, on whole arrays: the basis is evaluated at every finite
+place by one exp/log gather per y-stratum and at P_inf from valuations,
+and rref eliminates each pivot column in one gather per block of rows.  One rref of the columns in
 reverse order gives both the canonical dual (nullspace) and the coordinates
 a shortening drops; the shortened generator is then read off one more rref.
 The exact minimum distance is a full scan of one codeword per scalar class,
@@ -47,11 +47,17 @@ class LinearCode:
     """[n, k] code over F_q with a canonical (RREF) generator matrix."""
 
     field: Field
-    n: int
-    k: int
     gen: np.ndarray  # k x n array of encodings in the table dtype; made read-only
     designed_d: int
     d_kind: str
+
+    @property
+    def n(self) -> int:
+        return self.gen.shape[1]
+
+    @property
+    def k(self) -> int:
+        return self.gen.shape[0]
 
     def summary(self) -> dict:
         return {
@@ -174,28 +180,30 @@ def evaluation_matrix(curve: "KummerCurve", fns: Sequence[rr.BasisFunction],
                       places: Sequence["Place"]) -> np.ndarray:
     """Encodings of the basis functions (rows) at the places (columns).
 
-    At the ordinary places the functions of one y-stratum share the factor
-    y**t * prod_i (x - alpha_i)**(-e_i) * f(x)**(-s) and differ only in the
-    power x**j, so each row is one exp gather of
+    At a finite place (x, y), a ramified P_i being (alpha_i, 0), the functions
+    of one y-stratum share y**t * prod_i (x - alpha_i)**(-e_i) * f(x)**(-s)
+    and differ only in x**j, so each row is one exp gather of
     j*log x + t*log y - sum_i e_i*log(x - alpha_i) - s*log f(x) mod q - 1,
-    and 0 where x = 0 < j.  y, f(x) and x - alpha_i never vanish there.
-    P_inf and the ramified places go through BasisFunction.evaluate.
+    and 0 where x = 0 < j or y = 0 < t.  y = f(x) = 0 only at a P_i, where
+    t = 0 gives s = 0, and x - alpha_i vanishes only on supp G.  At P_inf
+    a function is 1 where its valuation is 0 (monic factors), else 0.
     """
     field = curve.field
     t = field.tables()
     raw = np.zeros((len(fns), len(places)), dtype=t.add.dtype)
-    ordinary = []
+    finite, points = [], []
     for col, place in enumerate(places):
-        if place.kind == "ordinary":
-            ordinary.append(col)
+        if place.kind == "infinity":
+            raw[:, col] = [fn.valuation(curve, place) == 0 for fn in fns]
         else:
-            raw[:, col] = [fn.evaluate(curve, place).enc for fn in fns]
-    xs = np.array([places[col].x.enc for col in ordinary], dtype=t.add.dtype)
-    ys = np.array([places[col].y.enc for col in ordinary], dtype=t.add.dtype)
+            finite.append(col)
+            points.append((place.x.enc, place.y.enc) if place.kind == "ordinary"
+                          else (curve.alphas[place.index - 1].enc, 0))
+    xs, ys = np.array(points, dtype=t.add.dtype).reshape(-1, 2).T
     fx = np.zeros_like(xs)
     for c in reversed(curve.f.coeffs):
         fx = t.add[t.mul[fx, xs], c.enc]
-    log_x, log_y, log_f, x_zero = t.log[xs], t.log[ys], t.log[fx], xs == 0
+    log_x, log_y, log_f = t.log[xs], t.log[ys], t.log[fx]
     start = 0
     for (y_pow, denom, f_pow), stratum in groupby(fns, lambda fn: (fn.y_pow, fn.denom, fn.f_pow)):
         js = np.array([fn.x_pow for fn in stratum], dtype=np.int64)
@@ -203,8 +211,8 @@ def evaluation_matrix(curve: "KummerCurve", fns: Sequence[rr.BasisFunction],
         for i, e in denom:  # e is unbounded, so reduce it to keep base in int64
             base -= e % (field.q - 1) * t.log[t.add[xs, t.neg[curve.alphas[i - 1].enc]]]
         block = t.exp[(js[:, None] * log_x + base) % (field.q - 1)]
-        block[np.ix_(js > 0, x_zero)] = 0
-        raw[start:start + len(js), ordinary] = block
+        block[(js[:, None] > 0) & (xs == 0) | (y_pow > 0) & (ys == 0)] = 0
+        raw[start:start + len(js), finite] = block
         start += len(js)
     return raw
 
@@ -221,20 +229,16 @@ def evaluation_code(curve: "KummerCurve", G: rr.Divisor) -> LinearCode:
     places = evaluation_places(curve, G)
     n = len(places)
     if G.degree >= n + 2 * curve.genus - 1:
+        # tables() also refuses q > MAX_TABLE_Q before an n x n array is allocated
         gen = np.eye(n, dtype=curve.field.tables().add.dtype)
-        return LinearCode(field=curve.field, n=n, k=n, gen=gen,
-                          designed_d=n - G.degree, d_kind=GOPPA_L)
+        return LinearCode(field=curve.field, gen=gen, designed_d=n - G.degree, d_kind=GOPPA_L)
     fns = rr.basis(curve, G).functions
     if not fns:
         raise ValueError("L(G) is trivial; the code would be empty")
     gen, _ = rref(curve.field, evaluation_matrix(curve, fns, places))
-    k = gen.shape[0]
-    if k == 0:
+    if len(gen) == 0:
         raise ValueError("evaluation map is identically zero")
-    return LinearCode(
-        field=curve.field, n=n, k=k, gen=gen,
-        designed_d=n - G.degree, d_kind=GOPPA_L,
-    )
+    return LinearCode(field=curve.field, gen=gen, designed_d=n - G.degree, d_kind=GOPPA_L)
 
 
 def residue_code(curve: "KummerCurve", G: rr.Divisor) -> LinearCode:
@@ -261,10 +265,7 @@ def residue_code(curve: "KummerCurve", G: rr.Divisor) -> LinearCode:
         designed, kind = G.degree - (2 * curve.genus - 2), GOPPA_OMEGA
     else:
         designed, kind = box.bound(curve.genus), HOMMA_KIM
-    return LinearCode(
-        field=curve.field, n=primal.n, k=gen.shape[0], gen=gen,
-        designed_d=designed, d_kind=kind,
-    )
+    return LinearCode(field=curve.field, gen=gen, designed_d=designed, d_kind=kind)
 
 
 # ---------------------------------------------------------------------------
@@ -285,14 +286,14 @@ def exact_min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int | 
     C_j is all of F_q, except at the top row when a whole level would not
     fit: there it is the encodings [0, p**i) for the largest i that fits,
     an additive subgroup, since encodings add digit by digit in base p.
-    Messages that lead inside the table are the c = 1 blocks of that
-    recurrence.  A message that leads at row l before the table gives
-    v = g_l + sum c_j*g_j over the rows between, the top row's c_j running
-    over the cosets a + C_j, a a multiple of p**i; v + t vanishes exactly
-    where t = -v, so the weights of all of v + T come from one comparison
-    with the negation table, a block the size of T.  Row 0 never enters the
-    table: only its c = 1 block would be read.  The scan never stops early,
-    so the result is exact and deterministic.
+    Every nonzero row of T is a multiple of a message leading inside the table,
+    itself in T (each C_j holds 1), so T's nonzero rows are weighed once.  A
+    message that leads at row l before the table gives v = g_l + sum c_j*g_j
+    over the rows between, the top row's c_j running over the cosets a + C_j, a
+    a multiple of p**i; v + t vanishes exactly where t = -v, so the weights of
+    all of v + T come from one comparison with the negation table, a block the
+    size of T.  Row 0 never enters T: its one prefix word is g_0.  The scan
+    never stops early, so the result is exact and deterministic.
     """
     q, k, n = code.field.q, code.k, code.n
     if budget < 1:
@@ -305,17 +306,15 @@ def exact_min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int | 
     gen = code.gen
     table = np.zeros((1, n), dtype=t.add.dtype)
     split, top = k, q  # rows split.. are in the table, row split with scalars [0, top)
-    best = n
     while split > 1 and top == q:
         width = q
         while width > 1 and width * table.nbytes > gf.WORK_BYTES:
             width //= code.field.p
         if width == 1:
             break
-        split, top, rows = split - 1, width, len(table)
+        split, top = split - 1, width
         table = t.add[t.mul[:top, gen[split]][:, None, :], table[None, :, :]].reshape(-1, n)
-        lead_block = table[rows:2 * rows]  # c = 1: the messages leading at row split
-        best = min(best, int(np.count_nonzero(lead_block, axis=1).min()))
+    best = int(np.count_nonzero(table[1:], axis=1).min(initial=n))  # row 0 is the zero word
     for lead in range(split):
         choices = [t.mul[:, row] for row in gen[lead + 1:split]]
         if top < q:
@@ -357,4 +356,4 @@ def shorten(code: LinearCode, s: int) -> LinearCode:
     red = red[s:, ::-1][:, keep]  # frees the full rref before the second one
     gen, _ = rref(field, red)
     assert gen.shape[0] == code.k - s
-    return replace(code, n=code.n - s, k=code.k - s, gen=gen)
+    return replace(code, gen=gen)

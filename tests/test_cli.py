@@ -361,14 +361,17 @@ def test_field_size_cap_exits_promptly(capsys, tmp_path):
 
 
 def test_table_size_cap_exits_promptly(capsys, tmp_path):
-    # q = 2^13 dense uint16 tables would take 4*q^2 = 256 MiB
+    # q = 2^13 dense uint16 tables would take 4*q^2 = 256 MiB; a G past
+    # n + 2g - 1 takes the identity route, which must refuse before it
+    # allocates the n x n identity
     cfg = tmp_path / "q2e13.cfg"
     cfg.write_text("p = 2\ne = 13\nm = 3\nlambda = 1\nf = 0,1,0,0,1\n", encoding="utf-8")
-    start = time.perf_counter()
-    code, out, err = run_cli(capsys, "code", "--curve", str(cfg), "--G", "3P_inf")
-    assert code == EXIT_PRECONDITION and out == ""
-    assert "MAX_TABLE_Q = 2**12" in err
-    assert time.perf_counter() - start < 30
+    for G in ("3P_inf", "1000000000P_inf"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "code", "--curve", str(cfg), "--G", G)
+        assert code == EXIT_PRECONDITION and out == ""
+        assert "MAX_TABLE_Q = 2**12" in err
+        assert time.perf_counter() - start < 30
 
 
 @pytest.mark.parametrize("modes", [

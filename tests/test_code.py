@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 from unittest import mock
 
@@ -121,7 +122,7 @@ def test_degenerate_codes_rejected(curve_y3_x5x):
     with pytest.raises(ValueError, match="k = 0"):
         residue_code(curve_y3_x5x, Divisor.at_infinity(200))
     empty = LinearCode(
-        field=curve_y3_x5x.field, n=65, k=0, gen=np.zeros((0, 65), dtype=np.int64),
+        field=curve_y3_x5x.field, gen=np.zeros((0, 65), dtype=np.int64),
         designed_d=0, d_kind=GOPPA_L,
     )
     with pytest.raises(ValueError, match="k = 0"):
@@ -160,7 +161,7 @@ def rref_codes(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     gen, _ = rref(field, rng.integers(0, q, size=(k, n), dtype=np.int64))
     assume(len(gen))
-    return LinearCode(field=field, n=n, k=len(gen), gen=gen, designed_d=1, d_kind=GOPPA_L)
+    return LinearCode(field=field, gen=gen, designed_d=1, d_kind=GOPPA_L)
 
 
 @settings(max_examples=60, deadline=None)
@@ -360,22 +361,56 @@ def test_trivial_residue_code_builds_no_field_tables(curve_y3_x5x, curve_y6_x5x)
     (7, 1, 3, 2, [6, 0, 1]),   # y^3 = (x^2 - 1)^2
     (2, 4, 5, 1, [1, 1, 1]),   # y^5 = x^2 + x + 1 over F_16
     (2, 4, 5, 3, [1, 1, 1]),   # y^5 = (x^2 + x + 1)^3
+    (5, 1, 4, 1, [0, 4, 0, 1]),  # y^4 = x^3 - x over F_5
+    (5, 1, 4, 3, [0, 4, 0, 1]),  # y^4 = (x^3 - x)^3
 ])
 def test_evaluation_matrix_matches_evaluate(p, e, m, lam, f):
-    # f(0) != 0, so these curves have ordinary places over x = 0, and both
-    # roots of f are named
     field = make_field(p, e)
     curve = make_curve(field, m, lam, Polynomial(field, f))
-    assert len(curve.alphas) == 2
-    assert any(pl.kind == "ordinary" and pl.x.is_zero() for pl in curve.rational_places())
-    for G in (Divisor(4, {1: 2}), Divisor(6, {1: -1, 2: 3}), Divisor(2, {1: 5}),
-              Divisor(0, {1: 7}), Divisor(10 ** 22 + 6, {1: -10 ** 22, 2: 3})):
+    if f[0]:
+        # ordinary places over x = 0, and both roots of f are named
+        assert len(curve.alphas) == 2
+        assert any(pl.kind == "ordinary" and pl.x.is_zero() for pl in curve.rational_places())
+        divisors = (Divisor(4, {1: 2}), Divisor(6, {1: -1, 2: 3}), Divisor(2, {1: 5}),
+                    Divisor(0, {1: 7}), Divisor(10 ** 22 + 6, {1: -10 ** 22, 2: 3}))
+    else:
+        # all three roots are named and P_1 is centred at 0; G leaves P_inf
+        # and P_1 among the columns
+        assert len(curve.alphas) == 3 and curve.alphas[0].is_zero()
+        divisors = (Divisor(0, {2: 5}), Divisor(0, {2: -1, 3: 9}), Divisor(0, {3: 7}),
+                    Divisor(0, {2: 10 ** 22 + 6, 3: -10 ** 22}))
+    for G in divisors:
         fns = basis(curve, G).functions
         assert any(fn.denom for fn in fns)
         assert any(fn.f_pow for fn in fns) == (lam > 1)
         places = evaluation_places(curve, G)
+        if not f[0]:
+            assert [pl.label() for pl in places[:2]] == ["P_inf", "P_1"]
         want = [[fn.evaluate(curve, place).enc for place in places] for fn in fns]
         assert evaluation_matrix(curve, fns, places).tolist() == want
+
+
+def test_evaluation_matrix_does_no_element_arithmetic(curve_y3_x5x, curve_y9_quartic,
+                                                      curve_y6_x5x):
+    # every column, P_inf and the ramified places included, is read off the
+    # tables; FieldElement arithmetic is the reference route only
+    f5 = make_field(5)
+    cube = make_curve(f5, 4, 3, Polynomial(f5, [0, 4, 0, 1]))  # y^4 = (x^3 - x)^3
+    cases = ((curve_y3_x5x, Divisor(7, {1: 1})), (curve_y9_quartic, Divisor(19, {1: 19})),
+             (curve_y6_x5x, Divisor.at_place(2, 30)), (cube, Divisor.at_place(2, 9)))
+
+    def refuse(*args):
+        raise AssertionError("FieldElement arithmetic")
+
+    for curve, G in cases:
+        fns = basis(curve, G).functions
+        places = evaluation_places(curve, G)
+        want = [[fn.evaluate(curve, place).enc for place in places] for fn in fns]
+        with contextlib.ExitStack() as stack:
+            for op in ("__add__", "__sub__", "__mul__", "__truediv__", "__neg__", "__pow__"):
+                stack.enter_context(mock.patch.object(gf.FieldElement, op, refuse))
+            got = evaluation_matrix(curve, fns, places)
+        assert got.tolist() == want
 
 
 def rref_by_rows(field, mat):
@@ -488,8 +523,7 @@ def test_shorten_matches_candidate_columns(case, data):
     field, mat = case
     gen, _ = rref(field, mat)
     assume(len(gen))
-    code = LinearCode(field=field, n=mat.shape[1], k=len(gen), gen=gen,
-                      designed_d=1, d_kind=GOPPA_L)
+    code = LinearCode(field=field, gen=gen, designed_d=1, d_kind=GOPPA_L)
     s = data.draw(st.integers(0, code.k - 1))
     short = shorten(code, s)
     assert (short.n, short.k) == (code.n - s, code.k - s)
@@ -505,8 +539,7 @@ def test_one_row_blocks_agree(case, data):
     field, mat = case
     gen, pivots = rref(field, mat)
     assume(len(gen))
-    code = LinearCode(field=field, n=mat.shape[1], k=len(gen), gen=gen,
-                      designed_d=1, d_kind=GOPPA_L)
+    code = LinearCode(field=field, gen=gen, designed_d=1, d_kind=GOPPA_L)
     s = data.draw(st.integers(0, code.k - 1))
     want_ns, want_short = nullspace(field, mat), shorten(code, s).gen
     want_d = exact_min_distance(code, budget=2 ** 16)
