@@ -44,17 +44,38 @@ class Place:
 
 
 class KummerCurve:
-    """Validated curve data; immutable and hashable. Build via make_curve."""
+    """The curve y**m = f(x)**lam, immutable and hashable, validated on
+    construction: m >= 2 and prime to the characteristic, f separable of
+    degree >= 2 (degree 1 would give genus 0, where the whole gap theory is
+    empty), gcd(m, r*lam) = 1.  lam is normalized into (0, m)."""
 
     __slots__ = ("field", "m", "lam", "f", "r", "genus", "alphas", "_places")
 
     def __init__(self, field: Field, m: int, lam: int, f: Polynomial):
+        if f.field != field:
+            raise ValueError("f is defined over a different field")
+        if m < 2:
+            raise ValueError(f"Kummer degree m must be >= 2, got {m}")
+        if m % field.p == 0:
+            raise ValueError(f"characteristic {field.p} divides m = {m}")
+        if lam < 1:
+            raise ValueError(f"lambda must be positive, got {lam}")
+        r = f.degree
+        if r < 2:
+            raise ValueError(
+                f"deg f = {r} gives a degenerate (genus zero) curve; need deg f >= 2"
+            )
+        lam = lam % m
+        if int_gcd(m, r * lam) != 1:
+            raise ValueError(f"gcd(m, r*lambda) = {int_gcd(m, r * lam)} must be 1")
+        if not is_separable(f):
+            raise ValueError("f must be separable (pairwise distinct roots)")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "f", f)
-        object.__setattr__(self, "r", f.degree)
-        object.__setattr__(self, "genus", (m - 1) * (f.degree - 1) // 2)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "genus", (m - 1) * (r - 1) // 2)
         alphas = tuple(sorted(roots_in_field(f), key=lambda a: a.enc))
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "_places", None)
@@ -121,30 +142,7 @@ class KummerCurve:
 
 
 def make_curve(field: Field, m: int, lam: int, f: Polynomial) -> KummerCurve:
-    """Validate and build the curve y**m = f(x)**lam.
-
-    Requirements: m >= 2 and prime to the characteristic, f separable of
-    degree >= 2 (degree 1 would give genus 0, where the whole gap theory
-    is empty), gcd(m, r*lam) = 1.  lam is normalized into (0, m).
-    """
-    if f.field != field:
-        raise ValueError("f is defined over a different field")
-    if m < 2:
-        raise ValueError(f"Kummer degree m must be >= 2, got {m}")
-    if m % field.p == 0:
-        raise ValueError(f"characteristic {field.p} divides m = {m}")
-    if lam < 1:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    r = f.degree
-    if r < 2:
-        raise ValueError(
-            f"deg f = {r} gives a degenerate (genus zero) curve; need deg f >= 2"
-        )
-    lam = lam % m
-    if int_gcd(m, r * lam) != 1:
-        raise ValueError(f"gcd(m, r*lambda) = {int_gcd(m, r * lam)} must be 1")
-    if not is_separable(f):
-        raise ValueError("f must be separable (pairwise distinct roots)")
+    """Validate and build the curve y**m = f(x)**lam (see KummerCurve)."""
     return KummerCurve(field, m, lam, f)
 
 

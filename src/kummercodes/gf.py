@@ -314,8 +314,6 @@ class FieldElement:
             if other.field is not self.field and other.field != self.field:
                 raise ValueError("operands belong to different fields")
             return other
-        if isinstance(other, int):
-            return self.field.element(other)
         return NotImplemented
 
     def __add__(self, other):
@@ -332,16 +330,11 @@ class FieldElement:
         z = F._zech[(F._log[b] - la) % order]
         return FieldElement(F, 0 if z < 0 else F._exp[(la + z) % order])
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
 
     def __neg__(self):
         return FieldElement(self.field, self.field._neg[self.enc])
@@ -360,12 +353,6 @@ class FieldElement:
 
     def inverse(self) -> "FieldElement":
         return self ** -1
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
 
     def __pow__(self, n: int) -> "FieldElement":
         """a**n for any integer n, with 0**0 = 1; 0**n for n < 0 raises."""

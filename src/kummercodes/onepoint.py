@@ -1,9 +1,10 @@
 """One-point Weierstrass semigroups at the totally ramified places.
 
 Both gap sets, and the gap graph of :mod:`.twopoint`, are read off one
-lattice walk, :func:`gap_pairs`, for genus up to MAX_GENUS.  Two more routes
-to the same gap sets stay as cross-checks: the closed-form gap tests of
-:func:`is_gap`, which never walk, and the dimension oracle in :mod:`.rr`.
+lattice walk per (m, r), :func:`sorted_gap_pairs`, for genus up to
+MAX_GENUS.  Two more routes to the same gap sets stay as cross-checks: the
+closed-form gap tests of :func:`is_gap`, which never walk, and the
+dimension oracle in :mod:`.rr`.
 The test suite sweeps all of them against each other.
 
 All comparisons are exact integer arithmetic; the fractional-part condition
@@ -13,7 +14,7 @@ of the residue criterion is cleared of denominators before comparing.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import ceil, gcd as int_gcd
+from math import gcd as int_gcd
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -163,12 +164,18 @@ def gap_pairs(m: int, r: int) -> Iterator[tuple[int, int]]:
 
 
 @lru_cache(maxsize=None)
+def sorted_gap_pairs(m: int, r: int) -> tuple[tuple[int, int], ...]:
+    """The pairs of gap_pairs(m, r), sorted; the one walk per (m, r)."""
+    return tuple(sorted(gap_pairs(m, r)))
+
+
+@lru_cache(maxsize=None)
 def semigroups(m: int, r: int) -> tuple[NumericalSemigroup, NumericalSemigroup]:
     """(H(P_inf), H(P)) as functions of (m, r): <m, r>, and the semigroup at
     every place over a root of f, rational center or not; each is the
-    complement of one projection of gap_pairs."""
-    return (NumericalSemigroup(a for a, _ in gap_pairs(m, r)),
-            NumericalSemigroup(b for _, b in gap_pairs(m, r)))
+    complement of one projection of sorted_gap_pairs."""
+    pairs = sorted_gap_pairs(m, r)
+    return (NumericalSemigroup(a for a, _ in pairs), NumericalSemigroup(b for _, b in pairs))
 
 
 def semigroup_at(curve: "KummerCurve", place: "Place") -> NumericalSemigroup:
@@ -190,7 +197,7 @@ def consecutive_genus(n: int, t: int) -> int:
         raise ValueError("need at least two consecutive generators")
     if n < 2:
         raise ValueError("first generator must be >= 2")
-    j = ceil((n - 1) / (t - 1))
+    j = -(-(n - 1) // (t - 1))
     return j * (2 * (n - 1) - (j - 1) * (t - 1)) // 2
 
 

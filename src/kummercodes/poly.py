@@ -1,8 +1,10 @@
-"""Univariate polynomial arithmetic over F_q.
+"""The curve's f in F_q[x].
 
-Dense little-endian coefficient representation with no trailing zeros; the
-zero polynomial is the empty coefficient sequence.  Degrees stay small here
-(around 10), so schoolbook algorithms are used throughout.
+f is built from its coefficient encodings or from its roots, and offers
+what the curve needs of it: evaluation on F_q, the derivative, and the gcd
+behind the separability test.  Coefficients are dense little-endian with no
+trailing zeros; the zero polynomial is the empty sequence.  Degrees stay
+small here (around 10), so schoolbook algorithms are used throughout.
 """
 
 from __future__ import annotations
@@ -28,10 +30,6 @@ class Polynomial:
         raise AttributeError("Polynomial is immutable")
 
     # -- constructors ---------------------------------------------------------
-
-    @classmethod
-    def x(cls, field: Field) -> "Polynomial":
-        return cls(field, [field.zero(), field.one()])
 
     @classmethod
     def from_roots(cls, field: Field, roots: Iterable[FieldElement | int]) -> "Polynomial":
@@ -81,37 +79,14 @@ class Polynomial:
         inv = self.leading_coefficient().inverse()
         return Polynomial(self.field, [c * inv for c in self.coeffs])
 
-    # -- ring operations -------------------------------------------------------
+    # -- arithmetic ------------------------------------------------------------
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):
             if other.field != self.field:
                 raise ValueError("polynomials over different fields")
             return other
-        if isinstance(other, (FieldElement, int)):
-            return Polynomial(self.field, [other])
         return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        z = self.field.zero()
-        a = list(self.coeffs) + [z] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [z] * (n - len(other.coeffs))
-        return Polynomial(self.field, [x + y for x, y in zip(a, b)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Polynomial(self.field, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -127,20 +102,6 @@ class Polynomial:
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
         return Polynomial(self.field, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Polynomial":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result = Polynomial(self.field, [self.field.one()])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __divmod__(self, other):
         other = self._coerce(other)
@@ -162,12 +123,6 @@ class Polynomial:
                     rem[k + i] = rem[k + i] - c * b
         return Polynomial(self.field, quot), Polynomial(self.field, rem)
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     def derivative(self) -> "Polynomial":
         out = []
         for i in range(1, len(self.coeffs)):
@@ -176,8 +131,6 @@ class Polynomial:
 
     def __call__(self, a: FieldElement) -> FieldElement:
         """Evaluate by Horner's rule."""
-        if not isinstance(a, FieldElement):
-            a = self.field.element(a)
         acc = self.field.zero()
         for c in reversed(self.coeffs):
             acc = acc * a + c
@@ -201,7 +154,7 @@ def gcd(f: Polynomial, g: Polynomial) -> Polynomial:
         raise ValueError("polynomials over different fields")
     a, b = f, g
     while not b.is_zero():
-        a, b = b, a % b
+        a, b = b, divmod(a, b)[1]
     return a.monic()
 
 

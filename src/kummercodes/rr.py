@@ -78,15 +78,6 @@ class Divisor:
             merged[i] = merged.get(i, 0) + c
         return Divisor(self.coeff_inf + other.coeff_inf, merged)
 
-    def __neg__(self) -> "Divisor":
-        return Divisor(-self.coeff_inf, {i: -c for i, c in self.coeffs})
-
-    def __sub__(self, other: "Divisor") -> "Divisor":
-        return self + (-other)
-
-    def __rmul__(self, n: int) -> "Divisor":
-        return Divisor(n * self.coeff_inf, {i: n * c for i, c in self.coeffs})
-
     def __eq__(self, other):
         if isinstance(other, Divisor):
             return self.coeff_inf == other.coeff_inf and self.coeffs == other.coeffs

@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import isqrt
 from typing import TYPE_CHECKING
 
-from .onepoint import gap_pairs, semigroups
+from .onepoint import semigroups, sorted_gap_pairs
 
 if TYPE_CHECKING:  # pragma: no cover
     from .curve import KummerCurve
@@ -72,14 +72,14 @@ class PureGapBox:
 
 
 def gap_graph(curve: "KummerCurve") -> GapGraph:
-    """The pairs of onepoint.gap_pairs, sorted; its projections are the gap
+    """The pairs of onepoint.sorted_gap_pairs; its projections are the gap
     sets of onepoint.semigroups."""
     return _gap_graph(curve.m, curve.r)
 
 
 @lru_cache(maxsize=None)
 def _gap_graph(m: int, r: int) -> GapGraph:
-    graph = GapGraph(tuple(sorted(gap_pairs(m, r))))
+    graph = GapGraph(sorted_gap_pairs(m, r))
     assert len(graph.pairs) == (m - 1) * (r - 1) // 2, "pair count must equal the genus"
     return graph
 
@@ -191,13 +191,23 @@ def _first_impure(curve: "KummerCurve", box: PureGapBox) -> tuple[int, int] | No
 
 @dataclass(frozen=True)
 class BoxDesign:
-    """A verified box together with the code parameters it designs."""
+    """A verified box, code length n and genus; the rest is read off them."""
 
     box: PureGapBox
     n: int
-    deg_G: int
-    designed_distance: int
-    k: int
+    genus: int
+
+    @property
+    def deg_G(self) -> int:
+        return sum(self.box.divisor_coefficients())
+
+    @property
+    def designed_distance(self) -> int:
+        return self.box.bound(self.genus)
+
+    @property
+    def k(self) -> int:
+        return self.n + self.genus - 1 - self.deg_G
 
     def to_dict(self) -> dict:
         a, b = self.box.divisor_coefficients()
@@ -247,15 +257,9 @@ def best_pure_gap_box(curve: "KummerCurve", n: int) -> BoxDesign:
         for t1, t2 in (_grow_box(pure, beta, gamma),
                        _grow_box(transposed, gamma, beta)[::-1]):
             box = PureGapBox(beta, gamma, t1, t2)
-            if box in candidates:
-                continue
-            deg_g = sum(box.divisor_coefficients())
-            if not (2 * g - 2 < deg_g < n):
-                continue
-            candidates[box] = BoxDesign(
-                box=box, n=n, deg_G=deg_g, designed_distance=box.bound(g),
-                k=n + g - 1 - deg_g,
-            )
+            design = BoxDesign(box=box, n=n, genus=g)
+            if box not in candidates and 2 * g - 2 < design.deg_G < n:
+                candidates[box] = design
     if not candidates:
         raise ValueError(
             "no pure-gap rectangle designs a divisor with 2g - 2 < deg G < n"

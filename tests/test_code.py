@@ -1,5 +1,6 @@
 import contextlib
 import itertools
+import operator
 from unittest import mock
 
 import numpy as np
@@ -402,12 +403,18 @@ def test_evaluation_matrix_does_no_element_arithmetic(curve_y3_x5x, curve_y9_qua
     def refuse(*args):
         raise AssertionError("FieldElement arithmetic")
 
+    # every operator the class defines, reflected ones included, so the
+    # guard follows the class as operators come and go
+    ops = [name for name, attr in vars(gf.FieldElement).items() if callable(attr)
+           and {name, name.replace("__r", "__", 1)} & vars(operator).keys()]
+    assert {"__add__", "__mul__", "__rmul__", "__pow__"} <= set(ops)
+
     for curve, G in cases:
         fns = basis(curve, G).functions
         places = evaluation_places(curve, G)
         want = [[fn.evaluate(curve, place).enc for place in places] for fn in fns]
         with contextlib.ExitStack() as stack:
-            for op in ("__add__", "__sub__", "__mul__", "__truediv__", "__neg__", "__pow__"):
+            for op in ops + ["inverse"]:
                 stack.enter_context(mock.patch.object(gf.FieldElement, op, refuse))
             got = evaluation_matrix(curve, fns, places)
         assert got.tolist() == want

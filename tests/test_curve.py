@@ -8,7 +8,7 @@ import pytest
 
 import kummercodes
 from kummercodes import Polynomial, make_curve, make_field
-from kummercodes.curve import ConfigError, load_curve, parse_curve_config
+from kummercodes.curve import ConfigError, KummerCurve, load_curve, parse_curve_config
 
 
 def test_reference_curve_parameters(curve_y3_x5x, curve_y9_quartic, curve_y6_x5x):
@@ -25,23 +25,27 @@ def test_lambda_normalized(f25):
     assert c.lam == 1
 
 
-def test_make_curve_rejects_bad_data(f25):
+@pytest.mark.parametrize("build", [make_curve, KummerCurve], ids=["make_curve", "KummerCurve"])
+def test_make_curve_rejects_bad_data(f25, build):
     f = Polynomial.parse(f25, "0,4,0,0,0,1")
     with pytest.raises(ValueError):
-        make_curve(f25, 5, 1, f)  # p | m
+        build(f25, 5, 1, f)  # p | m
     with pytest.raises(ValueError):
-        make_curve(f25, 1, 1, f)  # m < 2
+        build(f25, 1, 1, f)  # m < 2
     with pytest.raises(ValueError):
-        make_curve(f25, 3, 0, f)  # lambda < 1
+        build(f25, 3, 0, f)  # lambda < 1
     with pytest.raises(ValueError):
-        make_curve(f25, 3, 3, f)  # lambda = 0 mod m -> gcd failure
+        build(f25, 3, 3, f)  # lambda = 0 mod m -> gcd failure
     with pytest.raises(ValueError):
-        make_curve(f25, 3, 1, Polynomial.from_roots(f25, range(6)))  # gcd(3, 6) > 1
-    x = Polynomial.x(f25)
+        build(f25, 3, 1, Polynomial.from_roots(f25, range(6)))  # gcd(3, 6) > 1
+    x = Polynomial(f25, [0, 1])
     with pytest.raises(ValueError):
-        make_curve(f25, 3, 1, x * x)  # not separable
+        build(f25, 3, 1, x * x)  # not separable
     with pytest.raises(ValueError):
-        make_curve(f25, 2, 1, x)  # degree 1: genus 0, rejected as degenerate
+        build(f25, 2, 1, x)  # degree 1: genus 0, rejected as degenerate
+    f5 = make_field(5)
+    with pytest.raises(ValueError, match=r"gcd\(m, r\*lambda\) = 2 must be 1"):
+        build(f5, 4, 2, Polynomial.from_roots(f5, range(3)))
 
 
 @pytest.mark.parametrize(

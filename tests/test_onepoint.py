@@ -128,6 +128,8 @@ def test_consecutive_genus():
     assert consecutive_genus(2, 2) == 1
     assert consecutive_genus(5, 2) == 10
     assert consecutive_genus(5, 2) == NumericalSemigroup.from_generators((5, 6)).genus
+    n = 10 ** 17 + 3  # <n, n+1> has genus (n - 1)n/2, past float precision
+    assert consecutive_genus(n, 2) == (n - 1) * n // 2
     with pytest.raises(ValueError):
         consecutive_genus(5, 1)
     with pytest.raises(ValueError):
