@@ -19,7 +19,6 @@ import json
 import sys
 from pathlib import Path
 
-from . import code as codemod
 from . import onepoint, rr, twopoint
 from .curve import ConfigError, curve_from_config, load_curve, parse_curve_config
 
@@ -130,26 +129,29 @@ def cmd_twopoint(args) -> int:
 
 
 def cmd_code(args) -> int:
+    from . import code  # numpy comes with the code layer: only code and verify-paper load it
+
     curve = load_curve(args.curve)
     G = rr.Divisor.parse(args.G, len(curve.alphas))
     if args.omega:
-        lin = codemod.residue_code(curve, G)
+        lin = code.residue_code(curve, G)
     else:
-        lin = codemod.evaluation_code(curve, G)
+        lin = code.evaluation_code(curve, G)
     payload = lin.summary()
     payload["G"] = repr(G)
     payload["genus"] = curve.genus
     if args.exact_d:
-        exact = codemod.exact_min_distance(lin, budget=args.budget)
+        budget = code.DEFAULT_BUDGET if args.budget is None else args.budget
+        exact = code.exact_min_distance(lin, budget=budget)
         if exact is None:
             sys.stderr.write(
                 f"notice: q^k = {curve.field.q}**{lin.k} exceeds the budget "
-                f"{args.budget}; exact distance omitted\n"
+                f"{budget}; exact distance omitted\n"
             )
         else:
             payload["exact_d"] = exact
     if args.shorten:
-        short = codemod.shorten(lin, args.shorten)
+        short = code.shorten(lin, args.shorten)
         payload["shortened"] = short.summary()
     if args.matrix_out:
         with open(args.matrix_out, "w", encoding="utf-8", newline="\n") as out:
@@ -168,24 +170,24 @@ def _check(label, got, want):
         raise AssertionError(f"{label}: got {got!r}, want {want!r}")
 
 
-def _verify_f25_y3_curve(curve):
+def _verify_f25_y3_curve(curve, code):
     _check("genus", curve.genus, 4)
     _check("rational places", len(curve.rational_places()), 66)
     sem = onepoint.semigroup_at(curve, curve.place_infinity())
     _check("H(P_inf) generators", sem.generators, (3, 5))
 
 
-def _verify_f25_y3_codes(curve):
-    cl = codemod.evaluation_code(curve, rr.Divisor.at_infinity(5))
+def _verify_f25_y3_codes(curve, code):
+    cl = code.evaluation_code(curve, rr.Divisor.at_infinity(5))
     _check("[n,k] for G=5P_inf", (cl.n, cl.k), (65, 3))
     _check("designed d", cl.designed_d, 60)
-    _check("exact d", codemod.exact_min_distance(cl), 60)
-    cl6 = codemod.evaluation_code(curve, rr.Divisor.at_infinity(6))
+    _check("exact d", code.exact_min_distance(cl), 60)
+    cl6 = code.evaluation_code(curve, rr.Divisor.at_infinity(6))
     _check("[n,k] for G=6P_inf", (cl6.n, cl6.k), (65, 4))
-    _check("exact d", codemod.exact_min_distance(cl6), 59)
+    _check("exact d", code.exact_min_distance(cl6), 59)
 
 
-def _verify_f64_y9_curve(curve):
+def _verify_f64_y9_curve(curve, code):
     _check("genus", curve.genus, 12)
     _check("rational places", len(curve.rational_places()), 257)
     inf = onepoint.semigroup_at(curve, curve.place_infinity())
@@ -199,40 +201,42 @@ def _verify_f64_y9_curve(curve):
     ))
 
 
-def _verify_f64_y9_puregap(curve):
+def _verify_f64_y9_puregap(curve, code):
     _check("(10,10) floor criterion", twopoint.floor_pure_gap(curve.m, curve.r, 10, 10), True)
     _check("(10,10) dimension oracle", rr.pure_gap_by_dims(curve, 10, 10), True)
 
 
-def _verify_f64_y9_code(curve):
+def _verify_f64_y9_code(curve, code):
     G = rr.Divisor(19, {1: 19})
     box = twopoint.box_for_divisor(curve, 19, 19)
     _check("box", (box.beta, box.gamma, box.t1, box.t2), (10, 10, 0, 0))
-    om = codemod.residue_code(curve, G)
+    om = code.residue_code(curve, G)
     _check("[n,k]", (om.n, om.k), (255, 228))
     _check("designed d", om.designed_d, 18)
 
 
-def _verify_f25_y6_curve(curve):
+def _verify_f25_y6_curve(curve, code):
     _check("genus", curve.genus, 10)
     _check("rational places", len(curve.rational_places()), 126)
 
 
-def _verify_f25_y6_puregap(curve):
+def _verify_f25_y6_puregap(curve, code):
     _check("family pair", twopoint.known_pure_gap(5, 1), (13, 1))
     _check("(13,1) floor criterion", twopoint.floor_pure_gap(curve.m, curve.r, 13, 1), True)
     _check("(13,1) dimension oracle", rr.pure_gap_by_dims(curve, 13, 1), True)
 
 
-def _verify_f25_y6_code(curve):
+def _verify_f25_y6_code(curve, code):
     G = rr.Divisor(25, {1: 1})
     box = twopoint.box_for_divisor(curve, 25, 1)
     _check("box", (box.beta, box.gamma, box.t1, box.t2), (13, 1, 0, 0))
-    om = codemod.residue_code(curve, G)
+    om = code.residue_code(curve, G)
     _check("[n,k]", (om.n, om.k), (124, 107))
     _check("designed d", om.designed_d, 10)
 
 
+# (check id, curve token, check(curve, code layer)): cmd_verify imports the
+# code layer once and hands it to every check
 VERIFY_CHECKS = (
     ("f25_y3/curve", "f25_y3", _verify_f25_y3_curve),
     ("f25_y3/codes", "f25_y3", _verify_f25_y3_codes),
@@ -250,6 +254,7 @@ def cmd_verify(args) -> int:
         for check_id, _, _ in VERIFY_CHECKS:
             sys.stdout.write(check_id + "\n")
         return EXIT_OK
+    from . import code
     curves = {}
     for token, text in REFERENCE_CONFIGS.items():
         if args.fixtures:
@@ -258,7 +263,7 @@ def cmd_verify(args) -> int:
     failures = []
     for check_id, token, fn in VERIFY_CHECKS:
         try:
-            fn(curves[token])
+            fn(curves[token], code)
         except Exception as exc:  # noqa: BLE001 - report and continue
             sys.stdout.write(f"FAIL {check_id}: {exc}\n")
             failures.append((check_id, str(exc)))
@@ -327,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="brute-force the exact minimum distance")
     p_code.add_argument("--shorten", type=int, default=0, metavar="S",
                         help="also report the code shortened on S coordinates")
-    p_code.add_argument("--budget", type=int, default=codemod.DEFAULT_BUDGET,
+    p_code.add_argument("--budget", type=int,
                         help="scan for --exact-d only if q^k <= this positive "
                              "integer (default 2^24)")
     p_code.add_argument("--matrix-out", help="write the generator matrix here")

@@ -22,6 +22,10 @@ from .onepoint import semigroups, sorted_gap_pairs
 if TYPE_CHECKING:  # pragma: no cover
     from .curve import KummerCurve
 
+# cap on the pure-gap scan of top**2 pairs, at most m floor steps each: at
+# 0.1-0.15 us a step (2-vCPU host) the largest allowed scan takes 2-3 s
+MAX_SCAN_STEPS = 2 ** 24
+
 
 @dataclass(frozen=True)
 class GapGraph:
@@ -164,7 +168,8 @@ def enumerate_pure_gaps(curve: "KummerCurve", bound: int | None = None) -> tuple
     Every pure-gap coordinate pair satisfies a + b <= 2g - 1, so any bound
     of at least 2g - 1 already captures the full set; the bound exists
     because no two-point analogue of the conductor is available.  The scan
-    stops at 4g, so a larger bound costs no more than the default.
+    stops at 4g, so a larger bound costs no more than the default.  A scan
+    past MAX_SCAN_STEPS floor steps raises ValueError before it starts.
     """
     if bound is None:
         bound = 4 * curve.genus
@@ -172,6 +177,9 @@ def enumerate_pure_gaps(curve: "KummerCurve", bound: int | None = None) -> tuple
         raise ValueError("bound must be >= 1")
     m, r = curve.m, curve.r
     top = min(bound, 4 * curve.genus)
+    if top * top * m > MAX_SCAN_STEPS:
+        raise ValueError(f"pure-gap scan of {top}^2 pairs at {m} steps each exceeds "
+                         f"twopoint.MAX_SCAN_STEPS = {MAX_SCAN_STEPS}")
     return tuple((a, b) for a in range(1, top + 1) for b in range(1, top + 1)
                  if floor_pure_gap(m, r, a, b))
 

@@ -54,10 +54,68 @@ def test_imports_point_down_the_layers(name):
     assert _package_imports(name) <= set(LAYERS[:LAYERS.index(name)])
 
 
-def test_only_cli_imports_code():
+def test_no_module_imports_code_at_module_level():
+    # cli imports the code layer inside the subcommands that build codes, so
     # the theory path (semigroups, pure gaps, Riemann-Roch) runs without numpy
-    importers = {name for name in ("__init__", *LAYERS) if "code" in _package_imports(name)}
-    assert importers == {"cli"}
+    assert not {name for name in ("__init__", *LAYERS) if "code" in _package_imports(name)}
+
+
+# the public names by the submodule that defines them
+EXPORTS = {
+    "gf": "Field FieldElement make_field",
+    "poly": "Polynomial gcd is_separable roots_in_field",
+    "curve": "ConfigError KummerCurve Place load_curve make_curve parse_curve_config",
+    "rr": "rr Divisor RRBasis",
+    "onepoint": "onepoint NumericalSemigroup check_consecutive_form consecutive_genus "
+                "is_gap is_symmetric semigroup_at",
+    "twopoint": "twopoint GapGraph PureGapBox best_pure_gap_box box_for_divisor "
+                "enumerate_pure_gaps floor_pure_gap gap_graph is_member is_pure_gap "
+                "known_pure_gap verified_box",
+    "code": "LinearCode evaluation_code exact_min_distance residue_code shorten",
+}
+
+
+def test_import_loads_no_submodule_and_names_resolve(run_fresh):
+    report = run_fresh(
+        "import sys, types\n"
+        "import kummercodes\n"
+        "loaded = [name for name in sys.modules if name.startswith('kummercodes.')]\n"
+        "owners = {}\n"
+        "for name in kummercodes.__all__:\n"
+        "    obj = getattr(kummercodes, name)\n"
+        "    if isinstance(obj, types.ModuleType):\n"
+        "        owners[name] = obj.__name__\n"
+        "    elif getattr(sys.modules[obj.__module__], name) is obj:\n"
+        "        owners[name] = obj.__module__\n"
+        "print(json.dumps({'loaded': loaded, 'all': kummercodes.__all__, 'owners': owners}))\n"
+    )
+    assert report["loaded"] == []
+    want = {name: f"kummercodes.{module}"
+            for module, names in EXPORTS.items() for name in names.split()}
+    assert len(want) == 40 and sorted(report["all"]) == sorted(want)
+    assert report["owners"] == want
+
+
+@pytest.mark.parametrize("argv, builds_codes", [
+    ("semigroup --curve CFG", False),
+    ("twopoint --curve CFG --gamma", False),
+    ("twopoint --curve CFG --pure-gaps 10", False),
+    ("twopoint --curve CFG --member 3 4", False),
+    ("verify-paper --list", False),
+    ("code --curve CFG --G 5P_inf", True),
+    ("verify-paper", True),
+])
+def test_only_code_subcommands_load_numpy(run_fresh, argv, builds_codes):
+    report = run_fresh(
+        "import contextlib, io, sys, tempfile\n"
+        "from kummercodes import cli\n"
+        "with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cfg = str(cli.write_reference_configs(tmp)[0])\n"
+        f"    rc = cli.main([cfg if arg == 'CFG' else arg for arg in {argv.split()!r}])\n"
+        "print(json.dumps({'rc': rc, 'numpy': 'numpy' in sys.modules,\n"
+        "                  'code': 'kummercodes.code' in sys.modules}))\n"
+    )
+    assert report == {"rc": 0, "numpy": builds_codes, "code": builds_codes}
 
 
 @pytest.mark.parametrize("name", ("rr", "onepoint", "twopoint"))

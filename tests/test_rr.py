@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from kummercodes import Polynomial, make_curve, make_field, rr
 from kummercodes.gf import is_prime
+from kummercodes.onepoint import semigroup_at
 from kummercodes.poly import is_separable, roots_in_field
 from kummercodes.rr import (
     BasisFunction,
@@ -129,6 +130,13 @@ def test_basis_valuations_general_lambda():
         assert fn.valuation(c, c.ramified_place(1)) >= -3
         for i in (2, 3):
             assert fn.valuation(c, c.ramified_place(i)) >= 0
+    # the pole orders at P_inf of a one-point basis run through H(P_inf)
+    for curve in (c, make_curve(f7, 4, 3, Polynomial.from_roots(f7, range(5)))):
+        inf = curve.place_infinity()
+        gaps = set(semigroup_at(curve, inf).gaps)
+        for a in range(2 * curve.genus + 2):
+            poles = sorted(-fn.valuation(curve, inf) for fn in basis(curve, Divisor(a)).functions)
+            assert poles == [s for s in range(a + 1) if s not in gaps]
 
 
 def test_basis_rejects_unnamed_support():

@@ -2,11 +2,13 @@ import random
 import time
 from functools import lru_cache
 from math import gcd
+from unittest import mock
 
 import pytest
 
 from kummercodes import Polynomial, make_curve, make_field
-from kummercodes import rr
+from kummercodes import rr, twopoint
+from kummercodes.cli import EXIT_PRECONDITION, main
 from kummercodes.onepoint import NumericalSemigroup, gap_pairs, semigroup_at
 from kummercodes.twopoint import (
     PureGapBox,
@@ -157,6 +159,30 @@ def test_enumerate_default_bound(curve_y3_x5x):
     assert enumerate_pure_gaps(curve_y3_x5x) == enumerate_pure_gaps(curve_y3_x5x, 16)
 
 
+def test_pure_gap_scan_capped(curve_y3_x5x, tmp_path, capsys):
+    assert twopoint.MAX_SCAN_STEPS == 2 ** 24
+    # g = 4, m = 3: the default scan takes 16^2 pairs of 3 steps each
+    with mock.patch.object(twopoint, "MAX_SCAN_STEPS", 16 ** 2 * 3):
+        full = enumerate_pure_gaps(curve_y3_x5x)
+    with mock.patch.object(twopoint, "MAX_SCAN_STEPS", 16 ** 2 * 3 - 1):
+        assert enumerate_pure_gaps(curve_y3_x5x, 15) == full
+        for search in (lambda: enumerate_pure_gaps(curve_y3_x5x),
+                       lambda: best_pure_gap_box(curve_y3_x5x, 60)):
+            with pytest.raises(ValueError, match="MAX_SCAN_STEPS") as exc:
+                search()
+            assert not str(exc.value).startswith("no pure")  # read as "no rectangle"
+    # y^31 = x(x-1)...(x-31) over F_37, g = 465: the default scan would take
+    # 1860^2 pairs of 31 steps
+    f37 = make_field(37)
+    cfg = tmp_path / "g465.cfg"
+    cfg.write_text("p = 37\ne = 1\nm = 31\nlambda = 1\n"
+                   f"f = {Polynomial.from_roots(f37, range(32)).format()}\n")
+    start = time.perf_counter()
+    code = main(["twopoint", "--curve", str(cfg), "--pure-gaps", "1860"])
+    assert time.perf_counter() - start < 0.5
+    assert code == EXIT_PRECONDITION and "MAX_SCAN_STEPS" in capsys.readouterr().err
+
+
 def test_verified_box(curve_y9_quartic):
     box = verified_box(curve_y9_quartic, 10, 10, 0, 0)
     assert box.divisor_coefficients() == (19, 19)
@@ -174,6 +200,12 @@ def test_best_box_reference_curves(curve_y9_quartic, curve_y6_x5x):
     d3 = best_pure_gap_box(curve_y6_x5x, 124)
     assert (d3.box.beta, d3.box.gamma, d3.box.t1, d3.box.t2) == (1, 13, 0, 1)
     assert d3.designed_distance == 12 and d3.k == 106 and d3.n == 124
+    # y^6 = x(x-1)...(x-4) over F_7 at n = 23: the height loop must test every
+    # column of a box grown two wide, or the winner holds a non-pure point
+    f7 = make_field(7)
+    c7 = make_curve(f7, 6, 1, Polynomial.from_roots(f7, range(5)))
+    d7 = best_pure_gap_box(c7, 23)
+    assert d7.box == verified_box(c7, 1, 9, 1, 0)
 
 
 def test_box_design_to_dict(curve_y9_quartic):
