@@ -257,8 +257,6 @@ def cmd_verify(args) -> int:
     from . import code
     curves = {}
     for token, text in REFERENCE_CONFIGS.items():
-        if args.fixtures:
-            text = (Path(args.fixtures) / f"{token}.cfg").read_text(encoding="utf-8")
         curves[token] = curve_from_config(parse_curve_config(text))
     failures = []
     for check_id, token, fn in VERIFY_CHECKS:
@@ -275,8 +273,8 @@ def cmd_verify(args) -> int:
 
 
 def write_reference_configs(directory: str | Path) -> list[Path]:
-    """Write the bundled reference curves as config files (for inspection
-    or as a template for tampering tests)."""
+    """Write the bundled reference curves as <token>.cfg config files, for
+    inspection or as inputs to the other subcommands."""
     out = []
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -298,9 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_curve=True):
-        if needs_curve:
-            p.add_argument("--curve", required=True, help="curve config file")
+    def common(p):
+        p.add_argument("--curve", required=True, help="curve config file")
         p.add_argument("--format", choices=("json", "text", "csv"), default="json")
         p.add_argument("--output", help="write the report here instead of stdout")
 
@@ -344,9 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
              "published parameters",
     )
     p_ver.add_argument("--list", action="store_true", help="list check ids and exit")
-    p_ver.add_argument("--fixtures",
-                       help="directory of <token>.cfg files overriding the "
-                            "built-in curve data")
     p_ver.set_defaults(fn=cmd_verify)
     return parser
 

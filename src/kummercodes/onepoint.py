@@ -210,7 +210,7 @@ def check_consecutive_form(curve: "KummerCurve", place: "Place") -> tuple[bool, 
     """
     _require_ramified(place, allow_infinity=False)
     m, r = curve.m, curve.r
-    if m <= r or (m - 1) % r != 0:
+    if (m - 1) % r != 0:  # m >= 2, so this also refuses m <= r
         raise ValueError(f"m = {m} is not of the form r*t + 1 with r = {r}, t >= 1")
     low = m - m // r
     expected = NumericalSemigroup.from_generators(range(low, m + 1))

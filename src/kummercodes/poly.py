@@ -39,21 +39,9 @@ class Polynomial:
             out = out * cls(field, [-field.element(a), field.one()])
         return out
 
-    @classmethod
-    def parse(cls, field: Field, text: str) -> "Polynomial":
-        """Parse the comma-separated little-endian encoding format.
-
-        "0,4,0,0,0,1" is x**5 + 4x when the base characteristic is 5.
-        """
-        parts = [s.strip() for s in text.split(",")]
-        try:
-            encs = [int(s) for s in parts]
-        except ValueError as exc:
-            raise ValueError(f"bad polynomial literal {text!r}: {exc}") from exc
-        return cls(field, encs)
-
     def format(self) -> str:
-        """Inverse of :meth:`parse`; the zero polynomial prints as "0"."""
+        """The little-endian encodings as a config's ``f =`` line: "0,4,0,0,0,1"
+        is x**5 + 4x in characteristic 5; the zero polynomial prints as "0"."""
         if not self.coeffs:
             return "0"
         return ",".join(str(c.enc) for c in self.coeffs)

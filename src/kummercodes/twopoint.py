@@ -154,8 +154,7 @@ def known_pure_gap(q: int, l: int) -> tuple[int, int]:
 
 
 def _is_prime_power(n: int) -> bool:
-    if n < 2:
-        return False
+    """n > 1 (known_pure_gap has already refused q <= 3)."""
     p = next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
     while n % p == 0:
         n //= p
@@ -260,22 +259,18 @@ def best_pure_gap_box(curve: "KummerCurve", n: int) -> BoxDesign:
     pure = set(pure_list)
     transposed = {(b, a) for a, b in pure_list}
     g = curve.genus
-    candidates: dict[PureGapBox, BoxDesign] = {}
-    for beta, gamma in pure_list:
-        for t1, t2 in (_grow_box(pure, beta, gamma),
-                       _grow_box(transposed, gamma, beta)[::-1]):
-            box = PureGapBox(beta, gamma, t1, t2)
-            design = BoxDesign(box=box, n=n, genus=g)
-            if box not in candidates and 2 * g - 2 < design.deg_G < n:
-                candidates[box] = design
-    if not candidates:
+    designs = (BoxDesign(box=PureGapBox(beta, gamma, t1, t2), n=n, genus=g)
+               for beta, gamma in pure_list
+               for t1, t2 in (_grow_box(pure, beta, gamma),
+                              _grow_box(transposed, gamma, beta)[::-1]))
+    best = min((d for d in designs if 2 * g - 2 < d.deg_G < n), default=None,
+               key=lambda d: (-d.designed_distance, -d.k,
+                              d.box.beta, d.box.gamma, d.box.t1, d.box.t2))
+    if best is None:
         raise ValueError(
             "no pure-gap rectangle designs a divisor with 2g - 2 < deg G < n"
         )
-    # max keeps the first of equal keys: the smallest box
-    boxes = sorted(candidates, key=lambda b: (b.beta, b.gamma, b.t1, b.t2))
-    return max((candidates[b] for b in boxes),
-               key=lambda d: (d.designed_distance, d.k))
+    return best
 
 
 def box_for_divisor(curve: "KummerCurve", inf_coeff: int, place_coeff: int) -> PureGapBox | None:

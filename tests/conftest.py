@@ -50,7 +50,7 @@ def f64():
 @pytest.fixture(scope="session")
 def curve_y3_x5x(f25):
     """y^3 = x^5 - x over F_25: genus 4, 66 rational places."""
-    return make_curve(f25, 3, 1, Polynomial.parse(f25, "0,4,0,0,0,1"))
+    return make_curve(f25, 3, 1, Polynomial(f25, [0, 4, 0, 0, 0, 1]))
 
 
 @pytest.fixture(scope="session")

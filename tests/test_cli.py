@@ -15,15 +15,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kummercodes
+from kummercodes import twopoint
 from kummercodes.cli import (
     EXIT_CONFIG,
+    EXIT_MISMATCH,
     EXIT_OK,
     EXIT_PRECONDITION,
     EXIT_VERIFY,
+    REFERENCE_CONFIGS,
     build_parser,
     main,
     write_reference_configs,
 )
+from kummercodes.code import DEFAULT_BUDGET
+from kummercodes.curve import curve_from_config, load_curve, parse_curve_config
 
 
 @pytest.fixture(scope="module")
@@ -73,11 +78,9 @@ def test_deterministic_output(capsys, cfg_dir):
     assert pairs[0] == [1, 20] and pairs[-1] == [23, 1] and len(pairs) == 12
 
 
-def test_twopoint_member_verdicts(capsys, cfg_dir):
-    code, out, _ = run_cli(
-        capsys, "twopoint", "--curve", str(cfg_dir / "f64_y9.cfg"),
-        "--member", "10", "10",
-    )
+def test_twopoint_member_verdicts(capsys, cfg_dir, monkeypatch):
+    args = ("twopoint", "--curve", str(cfg_dir / "f64_y9.cfg"), "--member", "10", "10")
+    code, out, _ = run_cli(capsys, *args)
     payload = json.loads(out)
     assert code == EXIT_OK
     assert payload["verdict"] == "gap, pure"
@@ -95,6 +98,12 @@ def test_twopoint_member_verdicts(capsys, cfg_dir):
         "--member", "19", "10",
     )
     assert code == EXIT_OK and json.loads(out)["verdict"] == "member"
+
+    # a closed form that disagrees with the oracle is reported, never hidden
+    monkeypatch.setattr(twopoint, "is_member", lambda curve, a, b: True)
+    code, out, err = run_cli(capsys, *args)
+    assert code == EXIT_MISMATCH and err == "error[4]: closed form and dimension oracle disagree\n"
+    assert "verdict" not in json.loads(out)
 
 
 def test_twopoint_pure_gaps(capsys, cfg_dir):
@@ -184,6 +193,10 @@ def test_code_budget_validation(capsys, cfg_dir):
     code, out, err = run_cli(capsys, *args, "--budget", "15624")
     assert code == EXIT_OK and "exact_d" not in json.loads(out)
     assert "exceeds the budget" in err
+    # the help states the default, which lives in the code layer
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    budget = next(a for a in sub.choices["code"]._actions if "--budget" in a.option_strings)
+    assert 2 ** int(re.search(r"\(default 2\^(\d+)\)", budget.help).group(1)) == DEFAULT_BUDGET
 
 
 @pytest.mark.parametrize("value", ["abc", "1"])
@@ -291,8 +304,9 @@ def test_verify_paper_passes(capsys, tmp_path):
     lines = [l for l in out.splitlines() if l]
     assert len(lines) == 8 and all(l.startswith("PASS") for l in lines)
     # the written reference configs read back as the same curves
-    write_reference_configs(tmp_path)
-    assert run_cli(capsys, "verify-paper", "--fixtures", str(tmp_path)) == (code, out, err)
+    for path in write_reference_configs(tmp_path):
+        text = REFERENCE_CONFIGS[path.stem]
+        assert load_curve(path) == curve_from_config(parse_curve_config(text))
 
 
 def test_verify_paper_list(capsys):
@@ -302,12 +316,10 @@ def test_verify_paper_list(capsys):
     assert "f64_y9/curve" in ids and len(ids) == 8
 
 
-def test_verify_paper_tampered_fixture(capsys, tmp_path):
-    write_reference_configs(tmp_path)
-    tampered = tmp_path / "f64_y9.cfg"
-    text = tampered.read_text(encoding="utf-8").replace("m = 9", "m = 7")
-    tampered.write_text(text, encoding="utf-8")
-    code, out, err = run_cli(capsys, "verify-paper", "--fixtures", str(tmp_path))
+def test_verify_paper_tampered_fixture(capsys, monkeypatch):
+    text = REFERENCE_CONFIGS["f64_y9"].replace("m = 9", "m = 7")
+    monkeypatch.setitem(REFERENCE_CONFIGS, "f64_y9", text)
+    code, out, err = run_cli(capsys, "verify-paper")
     assert code == EXIT_VERIFY
     assert "FAIL f64_y9/curve" in out and "genus" in out
     assert "f64_y9/curve" in err

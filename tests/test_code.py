@@ -294,6 +294,39 @@ def test_code_on_curve_without_rational_branch_points():
     assert not field_matmul(f5, cl.gen, com.gen.T).any()
 
 
+@pytest.mark.parametrize("p,e,m,lam,f", [
+    (5, 1, 4, 3, [0, 4, 0, 1]),        # y^4 = (x^3 - x)^3 over F_5
+    (2, 4, 3, 2, [0, 1, 0, 0, 1]),     # y^3 = (x^4 + x)^2 over F_16
+    (3, 3, 4, 3, [0, 2, 0, 1]),        # y^4 = (x^3 + 2x)^3 over F_27
+    *((2, 6, 5, lam, [0, 1, 1, 0, 1]) for lam in (2, 3, 4)),  # y^5 = (x^4 + x^2 + x)^lam
+    *((13, 1, 5, lam, [0, 12, 0, 1]) for lam in (2, 3, 4)),   # y^5 = (x^3 - x)^lam
+])
+def test_codes_are_the_lambda_one_codes_under_the_place_map(p, e, m, lam, f):
+    # y' = y^a f^-b with a*lam - b*m = 1 maps y^m = f^lam onto y'^m = f and
+    # fixes x, P_inf and each P_i, so the codes of a G on P_inf and P_1 are
+    # the lam = 1 curve's with the columns permuted by (x, y) -> (x, y')
+    field = make_field(p, e)
+    poly = Polynomial(field, f)
+    curve, base = make_curve(field, m, lam, poly), make_curve(field, m, 1, poly)
+    a = pow(lam, -1, m)
+
+    def key(place, a=1, b=0):
+        if place.kind != "ordinary":
+            return place.kind, place.index
+        return place.kind, place.x.enc, (place.y ** a * poly(place.x) ** -b).enc
+
+    g = curve.genus
+    for G in (Divisor.at_infinity(3), Divisor(5, {1: 2}), Divisor.at_infinity(2 * g + 1),
+              Divisor(0, {1: 4})):
+        column = {key(place): j for j, place in enumerate(evaluation_places(base, G))}
+        perm = [column[key(place, a, (a * lam - 1) // m)]
+                for place in evaluation_places(curve, G)]
+        for build in (evaluation_code, residue_code):
+            want, got = build(base, G), build(curve, G)
+            assert np.array_equal(rref(field, want.gen[:, perm])[0], got.gen), (build, G)
+            assert (want.designed_d, want.d_kind) == (got.designed_d, got.d_kind)
+
+
 def test_code_rejects_unsupported_divisors(curve_y3_x5x):
     f5 = make_field(5)
     c_irr = make_curve(f5, 3, 1, Polynomial(f5, [2, 0, 1]))

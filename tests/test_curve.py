@@ -20,14 +20,14 @@ def test_reference_curve_parameters(curve_y3_x5x, curve_y9_quartic, curve_y6_x5x
 
 
 def test_lambda_normalized(f25):
-    f = Polynomial.parse(f25, "0,4,0,0,0,1")
+    f = Polynomial(f25, [0, 4, 0, 0, 0, 1])
     c = make_curve(f25, 3, 4, f)  # 4 = 1 mod 3
     assert c.lam == 1
 
 
 @pytest.mark.parametrize("build", [make_curve, KummerCurve], ids=["make_curve", "KummerCurve"])
-def test_make_curve_rejects_bad_data(f25, build):
-    f = Polynomial.parse(f25, "0,4,0,0,0,1")
+def test_make_curve_rejects_bad_data(f25, f64, build):
+    f = Polynomial(f25, [0, 4, 0, 0, 0, 1])
     with pytest.raises(ValueError):
         build(f25, 5, 1, f)  # p | m
     with pytest.raises(ValueError):
@@ -41,6 +41,11 @@ def test_make_curve_rejects_bad_data(f25, build):
     x = Polynomial(f25, [0, 1])
     with pytest.raises(ValueError):
         build(f25, 3, 1, x * x)  # not separable
+    f3 = make_field(3)
+    with pytest.raises(ValueError, match="separable"):
+        build(f3, 2, 1, Polynomial(f3, [1, 0, 0, 1]))  # x^3 + 1 = (x + 1)^3: f' = 0
+    with pytest.raises(ValueError, match="different field"):
+        build(f25, 3, 1, Polynomial(f64, [0, 1, 1, 0, 1]))
     with pytest.raises(ValueError):
         build(f25, 2, 1, x)  # degree 1: genus 0, rejected as degenerate
     f5 = make_field(5)
@@ -153,7 +158,7 @@ def test_config_missing_keys_and_bad_encodings():
 
 
 def test_curve_hashable(curve_y3_x5x, f25):
-    same = make_curve(f25, 3, 1, Polynomial.parse(f25, "0,4,0,0,0,1"))
+    same = make_curve(f25, 3, 1, Polynomial(f25, [0, 4, 0, 0, 0, 1]))
     assert same == curve_y3_x5x
     assert hash(same) == hash(curve_y3_x5x)
     assert len({same, curve_y3_x5x}) == 1

@@ -28,7 +28,7 @@ def test_semigroup_from_generators_basics():
     with pytest.raises(ValueError):
         NumericalSemigroup.from_generators((4, 6))  # gcd 2
     trivial = NumericalSemigroup.from_generators((1,))
-    assert trivial.genus == 0 and trivial.conductor == 0
+    assert trivial.genus == 0 and trivial.conductor == 0 and trivial.generators == (1,)
 
 
 def test_additive_closure_up_to_twice_conductor():
@@ -136,7 +136,7 @@ def test_consecutive_genus():
         consecutive_genus(1, 2)
 
 
-def test_check_consecutive_form(curve_y9_quartic):
+def test_check_consecutive_form(curve_y9_quartic, curve_y3_x5x):
     ok, built = check_consecutive_form(curve_y9_quartic, curve_y9_quartic.ramified_place(1))
     assert ok and built.generators == (7, 8, 9)
     f5 = make_field(5)
@@ -147,6 +147,8 @@ def test_check_consecutive_form(curve_y9_quartic):
     c83 = make_curve(f3, 8, 1, Polynomial.from_roots(f3, [0, 1, 2]))
     with pytest.raises(ValueError):
         check_consecutive_form(c83, c83.ramified_place(1))  # 8 != 3t + 1
+    with pytest.raises(ValueError, match="not of the form"):
+        check_consecutive_form(curve_y3_x5x, curve_y3_x5x.ramified_place(1))  # m = 3 < r = 5
     with pytest.raises(ValueError):
         check_consecutive_form(curve_y9_quartic, curve_y9_quartic.place_infinity())
 
@@ -201,6 +203,8 @@ def test_walk_capped_by_genus(tmp_path, capsys):
     onepoint.gap_pairs(2 * onepoint.MAX_GENUS + 1, 2)  # at the cap: allowed
     with pytest.raises(ValueError, match="MAX_GENUS"):
         onepoint.gap_pairs(2 * onepoint.MAX_GENUS + 3, 2)
+    with pytest.raises(ValueError, match="genus 65703 exceeds"):
+        onepoint.gap_pairs(363, 364)  # g = 362 * 363 / 2: the cap reads both degrees
     cfg = tmp_path / "big.cfg"
     cfg.write_text(f"p = 2\ne = 1\nm = {2 * 65537 + 1}\nlambda = 1\nf = 0,1,1\n")
     for argv in (["semigroup", "--curve", str(cfg)],

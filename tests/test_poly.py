@@ -2,17 +2,19 @@ import random
 
 import pytest
 
+from kummercodes.curve import parse_curve_config
 from kummercodes.poly import Polynomial, gcd, is_separable, roots_in_field
 
 
 def test_parse_format_roundtrip(f25):
-    f = Polynomial.parse(f25, "0,4,0,0,0,1")
+    # format prints a config's f = line, which the config reader reads back
+    f = Polynomial(f25, [0, 4, 0, 0, 0, 1])
     assert f.degree == 5
     assert f.format() == "0,4,0,0,0,1"
     assert Polynomial(f25).format() == "0"
-    assert Polynomial.parse(f25, "0, 4 ,0,0,0,1") == f
-    with pytest.raises(ValueError):
-        Polynomial.parse(f25, "0,x,1")
+    for poly, line in ((f, "0, 4 ,0,0,0,1"), (f, f.format()), (Polynomial(f25), "0")):
+        cfg = parse_curve_config(f"p = 5\ne = 2\nm = 3\nlambda = 1\nf = {line}\n")
+        assert Polynomial(f25, cfg["f"]) == poly
 
 
 def test_coefficients_from_another_field_rejected(f25, f64):
@@ -30,14 +32,14 @@ def test_trailing_zeros_trimmed(f25):
 
 
 def test_eval_roots(f25):
-    f = Polynomial.parse(f25, "0,4,0,0,0,1")  # x^5 - x
+    f = Polynomial(f25, [0, 4, 0, 0, 0, 1])  # x^5 - x
     for n in range(5):  # the prime subfield
         assert f(f25.element(n)).is_zero()
     assert not f(f25.element(5)).is_zero()
 
 
 def test_gcd_with_unit_derivative(f25):
-    f = Polynomial.parse(f25, "0,4,0,0,0,1")
+    f = Polynomial(f25, [0, 4, 0, 0, 0, 1])
     d = f.derivative()
     assert d == Polynomial(f25, [4])  # 5x^4 - 1 = -1 in characteristic 5
     g = gcd(f, d)
@@ -69,7 +71,7 @@ def test_divmod_reconstruction_randomized(f25, f64):
 
 
 def test_is_separable(f25, f64):
-    assert is_separable(Polynomial.parse(f25, "0,4,0,0,0,1"))
+    assert is_separable(Polynomial(f25, [0, 4, 0, 0, 0, 1]))
     assert is_separable(Polynomial(f64, [0, 1, 1, 0, 1]))
     x = Polynomial(f25, [0, 1])
     assert not is_separable(x * x)
@@ -84,7 +86,7 @@ def test_separable_iff_distinct_roots_on_split_products(f25):
 
 
 def test_roots_in_field(f25, f64):
-    f = Polynomial.parse(f25, "0,4,0,0,0,1")
+    f = Polynomial(f25, [0, 4, 0, 0, 0, 1])
     assert {a.enc for a in roots_in_field(f)} == {0, 1, 2, 3, 4}
     quartic = Polynomial(f64, [0, 1, 1, 0, 1])
     rts = roots_in_field(quartic)
