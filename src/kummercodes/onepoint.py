@@ -206,15 +206,21 @@ def check_consecutive_form(curve: "KummerCurve", place: "Place") -> tuple[bool, 
 
     Builds the consecutive-generator semigroup and compares it with
     semigroup_at; returns (matches, built semigroup).  Requires m = 1 mod r
-    with m > r, and a finite ramified place.
+    with m > r, and a finite ramified place.  semigroup_at comes first, so
+    the genus cap holds here too.  x is a sum of j generators from n, ..., m
+    iff j*n <= x <= j*m, so x is a gap iff ceil(x/m) > floor(x/n), and
+    from j = ceil((n - 1)/(t - 1)) on, with t = m - n + 1 generators, the
+    ranges [j*n, j*m] overlap: every gap lies below j*n.
     """
     _require_ramified(place, allow_infinity=False)
     m, r = curve.m, curve.r
     if (m - 1) % r != 0:  # m >= 2, so this also refuses m <= r
         raise ValueError(f"m = {m} is not of the form r*t + 1 with r = {r}, t >= 1")
-    low = m - m // r
-    expected = NumericalSemigroup.from_generators(range(low, m + 1))
-    return expected == semigroup_at(curve, place), expected
+    actual = semigroup_at(curve, place)
+    n = m - m // r
+    top = -(-(n - 1) // (m - n)) * n
+    expected = NumericalSemigroup(x for x in range(1, top) if -(-x // m) > x // n)
+    return expected == actual, expected
 
 
 def is_symmetric(sem: NumericalSemigroup) -> bool:

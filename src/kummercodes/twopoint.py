@@ -6,7 +6,9 @@ curve into y'**m = f(x) fixing x, P_inf and every P_i.  So everything here
 depends only on (m, r) and is memoised on those integers: the gap graph is
 the lattice walk onepoint.gap_pairs, pure gaps come from the floor
 criterion for every lambda, and the dimension oracle of :mod:`.rr` stays as
-the cross-check (tests, ``--member``, verify-paper).
+the cross-check (tests, ``--member``, verify-paper).  The box search ranks
+its designs once per (m, r), and the code length n only picks the first
+design with deg G < n.
 The pair convention: first coordinate at P_inf, second at P.
 """
 
@@ -141,12 +143,19 @@ def known_pure_gap(q: int, l: int) -> tuple[int, int]:
     """The pure gap (q**(l+1) - 2*q**l - 2, 1) on curves y**(q**l + 1) = f(x)
     with f separable of degree q, for prime powers q > 3.
 
-    The returned pair is re-checked against the floor criterion before being
-    handed out.
+    The returned pair is re-checked against the floor criterion, m = q**l + 1
+    steps, before being handed out; past MAX_SCAN_STEPS that check is
+    refused with ValueError before it starts.
     """
     if l < 1:
         raise ValueError("l must be >= 1")
-    if q <= 3 or not _is_prime_power(q):
+    if q <= 3:
+        raise ValueError(f"q must be a prime power > 3, got {q}")
+    # q**l >= 2**l, so a large l is refused before q**l is computed
+    if l >= MAX_SCAN_STEPS.bit_length() or q ** l + 1 > MAX_SCAN_STEPS:
+        raise ValueError(f"checking the pair takes q**l + 1 floor steps, past "
+                         f"twopoint.MAX_SCAN_STEPS = {MAX_SCAN_STEPS}")
+    if not _is_prime_power(q):
         raise ValueError(f"q must be a prime power > 3, got {q}")
     a = q ** (l + 1) - 2 * q ** l - 2
     assert floor_pure_gap(q ** l + 1, q, a, 1)
@@ -174,11 +183,18 @@ def enumerate_pure_gaps(curve: "KummerCurve", bound: int | None = None) -> tuple
         bound = 4 * curve.genus
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    m, r = curve.m, curve.r
     top = min(bound, 4 * curve.genus)
+    _refuse_long_scan(curve.m, top)
+    return _pure_gaps(curve.m, curve.r, top)
+
+
+def _refuse_long_scan(m: int, top: int) -> None:
     if top * top * m > MAX_SCAN_STEPS:
         raise ValueError(f"pure-gap scan of {top}^2 pairs at {m} steps each exceeds "
                          f"twopoint.MAX_SCAN_STEPS = {MAX_SCAN_STEPS}")
+
+
+def _pure_gaps(m: int, r: int, top: int) -> tuple[tuple[int, int], ...]:
     return tuple((a, b) for a in range(1, top + 1) for b in range(1, top + 1)
                  if floor_pure_gap(m, r, a, b))
 
@@ -252,25 +268,45 @@ def best_pure_gap_box(curve: "KummerCurve", n: int) -> BoxDesign:
 
     The best design has the largest designed distance, then the largest
     dimension k = n + g - 1 - deg G, then the lexicographically smallest box.
+    As k falls with deg G for every n, the ranking is built once per (m, r)
+    by _design_ranking, and n only picks its first design with deg G < n.
     """
-    pure_list = enumerate_pure_gaps(curve)
-    if not pure_list:
+    # refused from (m, r) before the memo is read, whatever it holds
+    _refuse_long_scan(curve.m, 4 * curve.genus)
+    ranking = _design_ranking(curve.m, curve.r)
+    if ranking is None:
         raise ValueError("no pure gaps found within the bound")
-    pure = set(pure_list)
-    transposed = {(b, a) for a, b in pure_list}
-    g = curve.genus
-    designs = (BoxDesign(box=PureGapBox(beta, gamma, t1, t2), n=n, genus=g)
-               for beta, gamma in pure_list
-               for t1, t2 in (_grow_box(pure, beta, gamma),
-                              _grow_box(transposed, gamma, beta)[::-1]))
-    best = min((d for d in designs if 2 * g - 2 < d.deg_G < n), default=None,
-               key=lambda d: (-d.designed_distance, -d.k,
-                              d.box.beta, d.box.gamma, d.box.t1, d.box.t2))
-    if best is None:
+    box = next((box for deg, box in ranking if deg < n), None)
+    if box is None:
         raise ValueError(
             "no pure-gap rectangle designs a divisor with 2g - 2 < deg G < n"
         )
-    return best
+    return BoxDesign(box=box, n=n, genus=curve.genus)
+
+
+@lru_cache(maxsize=None)
+def _design_ranking(m: int, r: int) -> tuple[tuple[int, PureGapBox], ...] | None:
+    """(deg G, box) for the grown rectangles with deg G > 2g - 2, best first
+    by (-designed distance, deg G, beta, gamma, t1, t2), kept only where
+    deg G is below that of every better one: at most one per degree, and
+    the first with deg G < n is the best design at n.  None when there is
+    no pure gap."""
+    g = (m - 1) * (r - 1) // 2
+    pure_list = _pure_gaps(m, r, 4 * g)
+    if not pure_list:
+        return None
+    pure = set(pure_list)
+    transposed = {(b, a) for a, b in pure_list}
+    boxes = (PureGapBox(beta, gamma, t1, t2)
+             for beta, gamma in pure_list
+             for t1, t2 in (_grow_box(pure, beta, gamma),
+                            _grow_box(transposed, gamma, beta)[::-1]))
+    kept: list[tuple[int, PureGapBox]] = []
+    for _, deg, *box in sorted((-box.bound(g), sum(box.divisor_coefficients()),
+                                box.beta, box.gamma, box.t1, box.t2) for box in boxes):
+        if deg > 2 * g - 2 and (not kept or deg < kept[-1][0]):
+            kept.append((deg, PureGapBox(*box)))
+    return tuple(kept)
 
 
 def box_for_divisor(curve: "KummerCurve", inf_coeff: int, place_coeff: int) -> PureGapBox | None:

@@ -23,6 +23,7 @@ from kummercodes.code import (
     residue_code,
     rref,
     shorten,
+    _prefix_words,
 )
 from kummercodes.rr import Divisor, basis, dim
 
@@ -207,6 +208,45 @@ def test_exact_min_distance_reference_scan_is_bounded(run_fresh):
     assert report["s"] < 5
     assert report["rss_mb"] < 100
     assert report["rss_mb"] - report["built_mb"] < 1
+
+
+def test_exact_min_distance_weighs_suffixes_in_one_table(curve_y3_x5x):
+    # the table holds the codewords of the last generator rows, so far fewer
+    # than the (q^k - 1)/(q - 1) monic messages are weighed one by one
+    code = evaluation_code(curve_y3_x5x, Divisor.at_infinity(6))
+    q, k = code.field.q, code.k
+    assert (code.n, k) == (65, 4)
+    with mock.patch.object(gf, "WORK_BYTES", 0):
+        want = exact_min_distance(code)
+    prefix_words = []
+
+    def spy(t, word, choices):
+        if not choices:  # such a call yields its word, once
+            prefix_words.append(word)
+        return _prefix_words(t, word, choices)
+
+    with mock.patch("kummercodes.code._prefix_words", spy):
+        assert exact_min_distance(code) == want
+    assert 0 < len(prefix_words) * q <= (q ** k - 1) // (q - 1)
+
+
+def test_rref_index_blocks_within_work_bytes():
+    # each pivot clears its rows in blocks whose intp index temporaries hold
+    # at most gf.WORK_BYTES; all 119 rows at once would take 8 * 119 * 120
+    f5 = make_field(5)
+    mat = np.random.default_rng(19).integers(0, 5, size=(120, 120))
+    want, _ = rref(f5, mat)
+    sizes = []
+    real_take = np.take
+
+    def spy(a, indices, *args, **kwargs):
+        sizes.append(np.asarray(indices).nbytes)
+        return real_take(a, indices, *args, **kwargs)
+
+    with mock.patch.object(np, "take", spy):
+        red, _ = rref(f5, mat)
+    assert np.array_equal(red, want)
+    assert 0 < max(sizes) <= gf.WORK_BYTES < 8 * 119 * 120
 
 
 def test_shorten_peak_memory(run_fresh):

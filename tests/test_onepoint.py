@@ -153,6 +153,38 @@ def test_check_consecutive_form(curve_y9_quartic, curve_y3_x5x):
         check_consecutive_form(curve_y9_quartic, curve_y9_quartic.place_infinity())
 
 
+def test_consecutive_form_closed_form_matches_sieve():
+    # the closed-form gap test against the sieve of <n, ..., m>, for every
+    # m = r*t + 1 below 60; the sieve runs to the Schur bound (n - 1)(m - 1)
+    f61 = make_field(61)  # prime to every m here, and room for r < m distinct roots
+    cases = 0
+    for m in range(3, 60):
+        for r in range(2, m):
+            if (m - 1) % r:
+                continue
+            c = make_curve(f61, m, 1, Polynomial.from_roots(f61, range(r)))
+            ok, built = check_consecutive_form(c, c.ramified_place(1))
+            assert ok and built == NumericalSemigroup.from_generators(range(m - m // r, m + 1))
+            cases += 1
+    assert cases == 189
+
+
+def test_consecutive_form_at_large_genus():
+    # m = 20001, r = 2: g = 10000, where the sieve to the Schur bound took
+    # seconds; semigroup_at's genus cap refuses past MAX_GENUS first
+    f5 = make_field(5)
+    c = make_curve(f5, 20001, 1, Polynomial.from_roots(f5, [0, 1]))
+    start = time.perf_counter()
+    ok, built = check_consecutive_form(c, c.ramified_place(1))
+    assert time.perf_counter() - start < 1
+    assert ok and built.gaps == tuple(range(1, 10001))  # n = 10001, so gaps 1..n-1
+    huge = make_curve(f5, 2 * onepoint.MAX_GENUS + 7, 1, Polynomial.from_roots(f5, [0, 1]))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="MAX_GENUS"):
+        check_consecutive_form(huge, huge.ramified_place(1))
+    assert time.perf_counter() - start < 1
+
+
 def test_is_symmetric():
     assert is_symmetric(NumericalSemigroup.from_generators((2, 3)))
     s789 = NumericalSemigroup.from_generators((7, 8, 9))

@@ -121,6 +121,21 @@ def test_known_pure_gap_family():
         known_pure_gap(5, 0)
 
 
+def test_known_pure_gap_check_capped():
+    # the floor check takes q**l + 1 steps: 9765626 at (5, 10) is under the
+    # cap, 48828126 at (5, 11) and any q past the cap are refused at once
+    start = time.perf_counter()
+    for q, l in ((5, 11), (4, 10 ** 9), (2 ** 61 - 1, 1)):
+        with pytest.raises(ValueError, match="MAX_SCAN_STEPS"):
+            known_pure_gap(q, l)
+    assert time.perf_counter() - start < 0.1
+    assert known_pure_gap(5, 1) == (13, 1)  # verify-paper's family pair
+    with mock.patch.object(twopoint, "MAX_SCAN_STEPS", 5):
+        assert known_pure_gap(4, 1) == (6, 1)
+        with pytest.raises(ValueError, match="MAX_SCAN_STEPS"):
+            known_pure_gap(5, 1)
+
+
 def test_known_pure_gap_against_oracle():
     # q = 7, l = 1: m = 8, r = 7; the oracle only needs (m, r, lambda)
     f7 = make_field(7)
@@ -164,6 +179,9 @@ def test_pure_gap_scan_capped(curve_y3_x5x, tmp_path, capsys):
     # g = 4, m = 3: the default scan takes 16^2 pairs of 3 steps each
     with mock.patch.object(twopoint, "MAX_SCAN_STEPS", 16 ** 2 * 3):
         full = enumerate_pure_gaps(curve_y3_x5x)
+    # the box search memoises its ranking per (m, r): a filled memo must
+    # not turn the refusal below into an answer
+    best_pure_gap_box(curve_y3_x5x, 60)
     with mock.patch.object(twopoint, "MAX_SCAN_STEPS", 16 ** 2 * 3 - 1):
         assert enumerate_pure_gaps(curve_y3_x5x, 15) == full
         for search in (lambda: enumerate_pure_gaps(curve_y3_x5x),
@@ -222,6 +240,47 @@ def test_best_box_errors():
     assert enumerate_pure_gaps(g1) == ()
     with pytest.raises(ValueError, match="no pure gaps"):
         best_pure_gap_box(g1, len(g1.rational_places()) - 2)
+
+
+def _best_box_reference(curve, n):
+    """The search per call: the min over all grown boxes of the n-dependent
+    key, -k for k = n + g - 1 - deg G; a design or the error message."""
+    boxes = _grown_boxes(curve)
+    if not boxes:
+        return "no pure gaps found within the bound"
+    g = curve.genus
+    designs = (twopoint.BoxDesign(box=box, n=n, genus=g) for box in boxes)
+    best = min((d for d in designs if 2 * g - 2 < d.deg_G < n), default=None,
+               key=lambda d: (-d.designed_distance, -d.k,
+                              d.box.beta, d.box.gamma, d.box.t1, d.box.t2))
+    return best or "no pure-gap rectangle designs a divisor with 2g - 2 < deg G < n"
+
+
+@lru_cache(maxsize=None)
+def _grown_boxes(curve):
+    """Both greedy growths, width first and height first, from every pure gap."""
+    pure_list = _pure_gaps_reference(curve, 4 * curve.genus)
+    pure, transposed = set(pure_list), {(b, a) for a, b in pure_list}
+    return [PureGapBox(beta, gamma, t1, t2) for beta, gamma in pure_list
+            for t1, t2 in (twopoint._grow_box(pure, beta, gamma),
+                           twopoint._grow_box(transposed, gamma, beta)[::-1])]
+
+
+def test_best_box_matches_per_call_search(grid_curves):
+    # the ranking is built once per (m, r) and only filtered by n, so every
+    # n must give the per-call search's answer, whichever n fills the memo
+    curves = [c for c in grid_curves if c.lam == 1]
+    for c in curves:
+        ns = range(1, 10 * c.genus + 12)
+        want = {n: _best_box_reference(c, n) for n in ns}
+        twopoint._design_ranking.cache_clear()
+        for n in [*reversed(ns), *ns]:
+            try:
+                got = best_pure_gap_box(c, n)
+            except ValueError as exc:
+                got = str(exc)
+            assert got == want[n], (c, n)
+    assert len(curves) == 23
 
 
 def test_box_for_divisor(curve_y9_quartic, curve_y6_x5x, curve_y3_x5x):
