@@ -246,10 +246,14 @@ def residue_code(curve: "KummerCurve", G: rr.Divisor) -> LinearCode:
 
     Its designed distance is the Goppa bound deg G - (2g - 2), raised to
     PureGapBox.bound when G = a*P_inf + b*P_i with a >= 1 has a pure-gap
-    box (twopoint.box_for_divisor).  A trivial dual raises ValueError, and
-    from deg G >= n + 2g - 1 on it does so before anything is built.
+    box (twopoint.box_for_divisor).  A trivial dual raises ValueError: all
+    of F_q^n when l(G) = 0, which needs deg G < g as l(G) >= deg G + 1 - g,
+    and zero from deg G >= n + 2g - 1 on, refused before anything is built.
     """
     n = len(evaluation_places(curve, G))
+    if G.degree < curve.genus and rr.dim(curve, G) == 0:
+        raise ValueError(f"the residue code is trivial: l(G) = 0, so it is all of "
+                         f"F_q^{n} (k = {n})")
     primal = None if G.degree >= n + 2 * curve.genus - 1 else evaluation_code(curve, G)
     if primal is None or primal.k == n:
         raise ValueError(

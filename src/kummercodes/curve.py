@@ -9,6 +9,7 @@ are :mod:`.rr`'s (``BasisFunction.valuation`` and ``dim``).
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from math import gcd as int_gcd
 from pathlib import Path
@@ -43,15 +44,26 @@ class Place:
         return f"P({self.x.enc},{self.y.enc})"
 
 
+@dataclass(frozen=True, slots=True)
 class KummerCurve:
-    """The curve y**m = f(x)**lam, immutable and hashable, validated on
-    construction: m >= 2 and prime to the characteristic, f separable of
-    degree >= 2 (degree 1 would give genus 0, where the whole gap theory is
-    empty), gcd(m, r*lam) = 1.  lam is normalized into (0, m)."""
+    """The curve y**m = f(x)**lam, validated on construction: m >= 2 and
+    prime to the characteristic, f separable of degree >= 2 (degree 1 would
+    give genus 0, where the whole gap theory is empty), gcd(m, r*lam) = 1.
+    lam is normalized into (0, m).  Immutable, and compared and hashed by
+    (field, m, lam, f); r, genus, alphas and the places are derived."""
 
-    __slots__ = ("field", "m", "lam", "f", "r", "genus", "alphas", "_places")
+    field: Field
+    m: int
+    lam: int
+    f: Polynomial
+    r: int = dataclasses.field(init=False, compare=False)
+    genus: int = dataclasses.field(init=False, compare=False)
+    alphas: tuple[FieldElement, ...] = dataclasses.field(init=False, compare=False)
+    _places: tuple[Place, ...] | None = dataclasses.field(init=False, compare=False,
+                                                          default=None)
 
-    def __init__(self, field: Field, m: int, lam: int, f: Polynomial):
+    def __post_init__(self):
+        field, m, lam, f = self.field, self.m, self.lam, self.f
         if f.field != field:
             raise ValueError("f is defined over a different field")
         if m < 2:
@@ -70,27 +82,10 @@ class KummerCurve:
             raise ValueError(f"gcd(m, r*lambda) = {int_gcd(m, r * lam)} must be 1")
         if not is_separable(f):
             raise ValueError("f must be separable (pairwise distinct roots)")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "genus", (m - 1) * (r - 1) // 2)
         alphas = tuple(sorted(roots_in_field(f), key=lambda a: a.enc))
-        object.__setattr__(self, "alphas", alphas)
-        object.__setattr__(self, "_places", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("KummerCurve is immutable")
-
-    def __eq__(self, other):
-        if isinstance(other, KummerCurve):
-            return (self.field, self.m, self.lam, self.f) == \
-                   (other.field, other.m, other.lam, other.f)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.m, self.lam, self.f))
+        for name, value in (("lam", lam), ("r", r), ("genus", (m - 1) * (r - 1) // 2),
+                            ("alphas", alphas)):
+            object.__setattr__(self, name, value)
 
     def __repr__(self):
         return (f"KummerCurve(q={self.field.q}, m={self.m}, lam={self.lam}, "

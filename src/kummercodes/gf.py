@@ -25,6 +25,7 @@ suffix table) stays within that many bytes.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator, Sequence
@@ -165,17 +166,27 @@ MAX_TABLE_Q = 2 ** 12
 WORK_BYTES = 2 ** 16
 
 
+@dataclass(frozen=True, slots=True)
 class Field:
     """The field F_q, q = p**e, modulo the encoding-smallest monic
     irreducible of degree e over F_p.
 
-    Instances are immutable and hashable; :func:`make_field` caches them.
+    Instances are immutable and compared and hashed by (p, e), which fix
+    everything else; :func:`make_field` caches them.
     """
 
-    __slots__ = ("p", "e", "q", "modulus", "_exp", "_log", "_zech", "_neg",
-                 "_tables", "__weakref__")
+    p: int
+    e: int
+    q: int = dataclasses.field(init=False, compare=False)
+    modulus: tuple[int, ...] = dataclasses.field(init=False, compare=False)
+    _exp: list[int] = dataclasses.field(init=False, compare=False)
+    _log: list[int] = dataclasses.field(init=False, compare=False)
+    _zech: list[int] = dataclasses.field(init=False, compare=False)
+    _neg: list[int] = dataclasses.field(init=False, compare=False)
+    _tables: FieldTables | None = dataclasses.field(init=False, compare=False, default=None)
 
-    def __init__(self, p: int, e: int):
+    def __post_init__(self):
+        p, e = self.p, self.e
         if e < 1:
             raise ValueError(f"extension degree must be >= 1, got {e}")
         if p <= MAX_Q and not is_prime(p):
@@ -192,24 +203,9 @@ class Field:
         zech = [log[a - p + 1 if a % p == p - 1 else a + 1] for a in exp]
         half = (q - 1) // 2 if p != 2 else 0      # -1 = g**half
         neg = [0] + [exp[(log[a] + half) % (q - 1)] for a in range(1, q)]
-        for name, value in (("p", p), ("e", e), ("q", q), ("modulus", modulus),
-                            ("_exp", exp), ("_log", log), ("_zech", zech),
-                            ("_neg", neg), ("_tables", None)):
+        for name, value in (("q", q), ("modulus", modulus), ("_exp", exp), ("_log", log),
+                            ("_zech", zech), ("_neg", neg)):
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Field is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Field)
-            and self.p == other.p
-            and self.e == other.e
-            and self.modulus == other.modulus
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.e, self.modulus))
 
     def __repr__(self):
         return f"Field(p={self.p}, e={self.e})"
@@ -287,20 +283,16 @@ class Field:
         return tabs
 
 
+@dataclass(frozen=True, slots=True)
 class FieldElement:
-    """Immutable element of a :class:`Field`, held as its encoding ``enc``.
+    """Element of a :class:`Field`, held as its encoding ``enc``; immutable,
+    and compared and hashed by (field, enc).
 
     Every operator is one or two lookups in the field's exp/log/Zech arrays.
     """
 
-    __slots__ = ("field", "enc")
-
-    def __init__(self, field: Field, enc: int):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "enc", enc)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldElement is immutable")
+    field: Field
+    enc: int
 
     @property
     def coeffs(self) -> tuple[int, ...]:
@@ -362,14 +354,6 @@ class FieldElement:
                 raise ZeroDivisionError("0 has no multiplicative inverse")
             return FieldElement(F, 0 if n else 1)
         return FieldElement(F, F._exp[F._log[self.enc] * n % (F.q - 1)])
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.enc == other.enc and self.field == other.field
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.enc))
 
     def __repr__(self):
         return f"{self.enc}"

@@ -13,9 +13,9 @@ of the residue criterion is cleared of denominators before comparing.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gcd as int_gcd
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover
     from .curve import KummerCurve, Place
@@ -24,53 +24,32 @@ if TYPE_CHECKING:  # pragma: no cover
 MAX_GENUS = 2 ** 16
 
 
+@dataclass(frozen=True, slots=True)
 class NumericalSemigroup:
     """A cofinite additive submonoid of the non-negative integers.
 
-    Stored as its finite gap set plus the conductor; membership past the
-    conductor is automatic.  ``generators`` is the minimal generating set.
+    Built from its finite gap set, kept sorted as ``gaps``; membership past
+    the conductor is automatic.  ``generators`` is the minimal generating
+    set.  Immutable, and compared and hashed by ``gaps``, from which the
+    genus, Frobenius number, conductor and generators are derived.
     """
 
-    __slots__ = ("gaps", "genus", "frobenius", "conductor", "_gap_set", "_generators")
+    gaps: tuple[int, ...]
+    genus: int = field(init=False, compare=False)
+    frobenius: int = field(init=False, compare=False)
+    conductor: int = field(init=False, compare=False)
+    _gap_set: frozenset[int] = field(init=False, compare=False)
+    _generators: tuple[int, ...] | None = field(init=False, compare=False, default=None)
 
-    def __init__(self, gaps: Iterable[int]):
-        gap_list = sorted(set(int(s) for s in gaps))
+    def __post_init__(self):
+        gap_list = sorted(set(int(s) for s in self.gaps))
         if any(s < 1 for s in gap_list):
             raise ValueError("gaps must be positive integers")
-        object.__setattr__(self, "gaps", tuple(gap_list))
-        object.__setattr__(self, "genus", len(gap_list))
-        object.__setattr__(self, "frobenius", gap_list[-1] if gap_list else -1)
-        object.__setattr__(self, "conductor", (gap_list[-1] + 1) if gap_list else 0)
-        object.__setattr__(self, "_gap_set", frozenset(gap_list))
-        object.__setattr__(self, "_generators", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NumericalSemigroup is immutable")
-
-    @classmethod
-    def from_generators(cls, generators: Iterable[int]) -> "NumericalSemigroup":
-        """Sieve the monoid generated by the given positive integers.
-
-        Their gcd must be 1, otherwise the gap set is infinite.  The sieve
-        runs to the Schur bound (n1-1)(nk-1), past which everything is a
-        member.
-        """
-        gens = sorted(set(int(g) for g in generators))
-        if not gens or gens[0] < 1:
-            raise ValueError("generators must be positive integers")
-        g = 0
-        for x in gens:
-            g = int_gcd(g, x)
-        if g != 1:
-            raise ValueError(f"gcd of generators is {g}; the complement is infinite")
-        if gens[0] == 1:
-            return cls(())
-        bound = (gens[0] - 1) * (gens[-1] - 1)
-        member = [False] * (bound + 1)
-        member[0] = True
-        for n in range(1, bound + 1):
-            member[n] = any(n >= x and member[n - x] for x in gens)
-        return cls(n for n in range(1, bound + 1) if not member[n])
+        for name, value in (("gaps", tuple(gap_list)), ("genus", len(gap_list)),
+                            ("frobenius", gap_list[-1] if gap_list else -1),
+                            ("conductor", (gap_list[-1] + 1) if gap_list else 0),
+                            ("_gap_set", frozenset(gap_list))):
+            object.__setattr__(self, name, value)
 
     def __contains__(self, n: int) -> bool:
         return n >= 0 and n not in self._gap_set
@@ -100,14 +79,6 @@ class NumericalSemigroup:
         out = tuple(gens)
         object.__setattr__(self, "_generators", out)
         return out
-
-    def __eq__(self, other):
-        if isinstance(other, NumericalSemigroup):
-            return self.gaps == other.gaps
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.gaps)
 
     def __repr__(self):
         gens = ",".join(str(g) for g in self.generators)

@@ -9,25 +9,26 @@ small here (around 10), so schoolbook algorithms are used throughout.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable
 
 from .gf import Field, FieldElement
 
 
+@dataclass(frozen=True, slots=True)
 class Polynomial:
-    """Immutable polynomial with FieldElement coefficients."""
+    """Polynomial with FieldElement coefficients, given as elements or
+    encodings; immutable, and compared and hashed by (field, coeffs) once
+    trailing zeros are trimmed."""
 
-    __slots__ = ("field", "coeffs")
+    field: Field
+    coeffs: tuple[FieldElement, ...] = ()
 
-    def __init__(self, field: Field, coeffs: Iterable[FieldElement | int] = ()):
-        cs = [field.element(c) for c in coeffs]
+    def __post_init__(self):
+        cs = [self.field.element(c) for c in self.coeffs]
         while cs and cs[-1].is_zero():
             cs.pop()
-        object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
 
     # -- constructors ---------------------------------------------------------
 
@@ -123,14 +124,6 @@ class Polynomial:
         for c in reversed(self.coeffs):
             acc = acc * a + c
         return acc
-
-    def __eq__(self, other):
-        if isinstance(other, Polynomial):
-            return self.field == other.field and self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
 
     def __repr__(self):
         return f"Polynomial({self.format()!r})"

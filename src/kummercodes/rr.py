@@ -16,7 +16,7 @@ and are used to cross-check every closed form in the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from .curve import KummerCurve, Place
@@ -26,6 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover
 MAX_BASIS = 2 ** 16
 
 
+@dataclass(frozen=True, slots=True)
 class Divisor:
     """Integer combination of the places P_1..P_r and P_inf.
 
@@ -33,22 +34,30 @@ class Divisor:
     F_q (in encoding order); larger indices up to r denote the remaining
     conjugate places, which can carry coefficients for dimension counts but
     cannot be used in explicit bases or code supports.
+
+    ``coeffs`` is given as a mapping {index: coefficient} and kept as its
+    sorted (index, coefficient) pairs without the zero ones; the divisor is
+    immutable, and compared and hashed by (coeff_inf, coeffs).
     """
 
-    __slots__ = ("coeff_inf", "coeffs")
+    coeff_inf: int = 0
+    coeffs: tuple[tuple[int, int], ...] = ()
 
-    def __init__(self, coeff_inf: int = 0, coeffs: Mapping[int, int] | None = None):
-        items = {}
-        for i, c in (coeffs or {}).items():
+    def __post_init__(self):
+        # the dimension oracles build a Divisor per dim call, so the usual
+        # int coefficient and the empty default are not copied
+        if type(self.coeff_inf) is not int:
+            object.__setattr__(self, "coeff_inf", int(self.coeff_inf))
+        if self.coeffs == ():
+            return
+        items = []
+        for i, c in (self.coeffs or {}).items():
             if i < 1:
                 raise ValueError(f"place index must be >= 1, got {i}")
             if c:
-                items[int(i)] = int(c)
-        object.__setattr__(self, "coeff_inf", int(coeff_inf))
-        object.__setattr__(self, "coeffs", tuple(sorted(items.items())))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Divisor is immutable")
+                items.append((int(i), int(c)))
+        items.sort()
+        object.__setattr__(self, "coeffs", tuple(items))
 
     @classmethod
     def at_infinity(cls, n: int) -> "Divisor":
@@ -77,14 +86,6 @@ class Divisor:
         for i, c in other.coeffs:
             merged[i] = merged.get(i, 0) + c
         return Divisor(self.coeff_inf + other.coeff_inf, merged)
-
-    def __eq__(self, other):
-        if isinstance(other, Divisor):
-            return self.coeff_inf == other.coeff_inf and self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.coeff_inf, self.coeffs))
 
     def __repr__(self):
         """The CLI form: '19P_inf + 19P_1', and '0' for the zero divisor."""

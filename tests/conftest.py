@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import kummercodes
-from kummercodes import Polynomial, make_curve, make_field
+from kummercodes import NumericalSemigroup, Polynomial, make_curve, make_field
 
 # primes used to host the sweep curves; p >= 3 keeps the two-point membership
 # oracle's two-term combination argument valid, p >= r gives r distinct roots
@@ -35,6 +35,28 @@ def build_grid_curves():
 @pytest.fixture(scope="session")
 def grid_curves():
     return build_grid_curves()
+
+
+def _sieve_semigroup(generators):
+    """The monoid generated by the given positive integers, sieved up to the
+    Schur bound (n1 - 1)(nk - 1), past which everything is a member; their
+    gcd must be 1, otherwise the gap set is infinite."""
+    gens = sorted(set(int(g) for g in generators))
+    if not gens or gens[0] < 1:
+        raise ValueError("generators must be positive integers")
+    if gcd(*gens) != 1:
+        raise ValueError(f"gcd of generators is {gcd(*gens)}; the complement is infinite")
+    bound = (gens[0] - 1) * (gens[-1] - 1)
+    member = [True] + [False] * bound
+    for n in range(1, bound + 1):
+        member[n] = any(n >= x and member[n - x] for x in gens)
+    return NumericalSemigroup(n for n in range(1, bound + 1) if not member[n])
+
+
+@pytest.fixture(scope="session")
+def from_generators():
+    """from_generators(gens): the sieve oracle for the semigroup <gens>."""
+    return _sieve_semigroup
 
 
 @pytest.fixture(scope="session")

@@ -292,6 +292,8 @@ def test_error_exit_codes(capsys, cfg_dir, tmp_path):
     (("code", "--G", "5P_9"), "place index 9 out of range 1..5"),
     (("twopoint", "--place", "inf", "--gamma"), "the second point must be a finite ramified place"),
     (("twopoint",), "choose one of --gamma, --pure-gaps, --member"),
+    (("code", "--omega", "--G=2P_inf + -9P_1"),
+     "the residue code is trivial: l(G) = 0, so it is all of F_q^64 (k = 64)"),
 ])
 def test_precondition_messages(capsys, cfg_dir, argv, message):
     code, out, err = run_cli(capsys, *argv[:1], "--curve", str(cfg_dir / "f25_y3.cfg"), *argv[1:])

@@ -89,6 +89,12 @@ def test_trivial_divisor_codes(curve_y3_x5x):
     assert (code.n, code.k) == (66, 1)  # constants at every rational place
     dual = residue_code(curve_y3_x5x, Divisor())
     assert dual.k == 65
+    # l(G) = 0 leaves C_Omega all of F_q^n: refused as trivial, of negative
+    # degree and of degree 1 < g
+    for G in (Divisor(2, {1: -9}), Divisor(2, {1: -1})):
+        assert dim(curve_y3_x5x, G) == 0
+        with pytest.raises(ValueError, match=r"residue code is trivial: l\(G\) = 0, .* \(k = 64\)"):
+            residue_code(curve_y3_x5x, G)
 
 
 def test_residue_code_reference_f64(curve_y9_quartic):

@@ -162,6 +162,18 @@ def test_curve_hashable(curve_y3_x5x, f25):
     assert same == curve_y3_x5x
     assert hash(same) == hash(curve_y3_x5x)
     assert len({same, curve_y3_x5x}) == 1
+    # trailing zero coefficients, lambda + m and a filled place cache change
+    # neither equality nor hash
+    f = Polynomial(f25, [0, 4, 0, 0, 0, 1, 0, 0])
+    assert f == same.f and hash(f) == hash(same.f) and repr(f) == "Polynomial('0,4,0,0,0,1')"
+    shifted = make_curve(f25, 3, 4, f)
+    curve_y3_x5x.rational_places()
+    assert shifted._places is None
+    assert shifted == curve_y3_x5x and hash(shifted) == hash(curve_y3_x5x)
+    assert make_curve(f25, 3, 2, f) != curve_y3_x5x
+    for obj, name in ((same, "lam"), (same, "genus"), (f, "coeffs")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 1)
 
 
 def test_theory_path_does_not_import_numpy(tmp_path):

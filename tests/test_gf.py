@@ -196,6 +196,16 @@ def test_element_hash_and_repr(f25):
     assert hash(a) == hash(f25.element(7))
     assert repr(a) == "7"
     assert {a, f25.element(7)} == {a}
+    # (p, e) and (field, enc) define equality: a fresh F_25 without tables
+    # equals the cached one with them, and so do their elements
+    fresh = Field(5, 2)
+    f25.tables()
+    assert fresh._tables is None and fresh == f25 and hash(fresh) == hash(f25)
+    assert fresh.element(7) == a and hash(fresh.element(7)) == hash(a)
+    assert make_field(5).element(2) != f25.element(2) and f25.element(8) != a
+    for obj, name in ((f25, "q"), (f25, "_tables"), (a, "enc")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 1)
 
 
 # -- the exp/log/Zech arithmetic against the tuple reference above -----------
@@ -284,6 +294,7 @@ def test_size_caps():
         make_field(65537)
     with pytest.raises(ValueError, match="MAX_Q"):
         make_field(3, 10 ** 9)
+    assert make_field(2, 16).q == gf.MAX_Q  # the cap itself is allowed
     big = make_field(2, 13)
     # two uint16 tables of q^2 entries
     with pytest.raises(ValueError, match=r"4\*q\^2 = 268435456 bytes.*MAX_TABLE_Q"):

@@ -30,6 +30,10 @@ def test_divisor_algebra():
     assert d + Divisor(-5, {1: -2, 3: 1}) == Divisor()
     assert Divisor.at_infinity(4).coeff_inf == 4
     assert hash(Divisor(1, {1: 1})) == hash(Divisor(1, {1: 1}))
+    assert Divisor(2, {1: 0}) == Divisor(2) and hash(Divisor(2, {1: 0})) == hash(Divisor(2))
+    assert Divisor(0, {3: 1, 1: 2}) == Divisor(0, {1: 2, 3: 1}) != Divisor(0, {1: 2})
+    with pytest.raises(AttributeError):
+        d.coeff_inf = 1
     with pytest.raises(ValueError):
         Divisor(0, {0: 3})
 
