@@ -39,21 +39,17 @@ REFERENCE_CONFIGS = {
 def _emit(payload: dict, fmt: str, out_path: str | None) -> None:
     if fmt == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    elif fmt == "text":
-        lines = [f"{key}: {_flat(value)}" for key, value in sorted(payload.items())]
-        text = "\n".join(lines) + "\n"
-    elif fmt == "csv":
-        lines = [f"{key},{_flat(value, sep=';')}" for key, value in sorted(payload.items())]
-        text = "\n".join(lines) + "\n"
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(fmt)
+    else:  # argparse allows only json, text and csv
+        colon, sep = (": ", " ") if fmt == "text" else (",", ";")
+        text = "".join(f"{key}{colon}{_flat(value, sep)}\n"
+                       for key, value in sorted(payload.items()))
     if out_path:
         Path(out_path).write_text(text, encoding="utf-8", newline="\n")
     else:
         sys.stdout.write(text)
 
 
-def _flat(value, sep: str = " "):
+def _flat(value, sep: str):
     if isinstance(value, list):
         return sep.join(_flat(v, sep) for v in value)
     return str(value)
@@ -358,5 +354,5 @@ def main(argv=None) -> int:
         return _fail(EXIT_PRECONDITION, str(exc))
 
 
-if __name__ == "__main__":  # pragma: no cover
+if __name__ == "__main__":
     raise SystemExit(main())

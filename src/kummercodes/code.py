@@ -168,12 +168,17 @@ def field_matmul(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def evaluation_places(curve: "KummerCurve", G: rr.Divisor):
     """The rational places outside supp(G), in the canonical order; raises
-    ValueError unless every place of supp(G) has a rational center."""
+    ValueError unless every place of supp(G) has a rational center, and when
+    supp(G) holds every rational place, so that a code would have n = 0."""
     rr.check_named_support(curve, G)
     supp = {("ramified", i) for i in G.support_indices}
     if G.coeff_inf:
         supp.add(("infinity", 0))
-    return [p for p in curve.rational_places() if (p.kind, p.index) not in supp]
+    places = [p for p in curve.rational_places() if (p.kind, p.index) not in supp]
+    if not places:
+        raise ValueError("supp(G) holds every rational place: the code would have "
+                         "length n = 0")
+    return places
 
 
 def evaluation_matrix(curve: "KummerCurve", fns: Sequence[rr.BasisFunction],

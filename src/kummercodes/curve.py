@@ -44,7 +44,7 @@ class Place:
         return f"P({self.x.enc},{self.y.enc})"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class KummerCurve:
     """The curve y**m = f(x)**lam, validated on construction: m >= 2 and
     prime to the characteristic, f separable of degree >= 2 (degree 1 would

@@ -60,8 +60,6 @@ def _fp_trim(c: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _fp_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -166,7 +164,7 @@ MAX_TABLE_Q = 2 ** 12
 WORK_BYTES = 2 ** 16
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Field:
     """The field F_q, q = p**e, modulo the encoding-smallest monic
     irreducible of degree e over F_p.
@@ -283,14 +281,18 @@ class Field:
         return tabs
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class FieldElement:
     """Element of a :class:`Field`, held as its encoding ``enc``; immutable,
     and compared and hashed by (field, enc).
 
-    Every operator is one or two lookups in the field's exp/log/Zech arrays.
+    Every operator is one or two lookups in the field's exp/log/Zech arrays;
+    both operands are elements, and of different fields they raise ValueError.
+    The slots are spelled out rather than made by ``slots=True``, whose
+    rebuilt class breaks the frozen ``__setattr__`` on Python 3.10 and 3.11.
     """
 
+    __slots__ = ("field", "enc")
     field: Field
     enc: int
 
@@ -301,44 +303,32 @@ class FieldElement:
     def is_zero(self) -> bool:
         return self.enc == 0
 
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.field is not self.field and other.field != self.field:
-                raise ValueError("operands belong to different fields")
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def __add__(self, other: FieldElement) -> FieldElement:
+        F = self.field
+        if other.field is not F and other.field != F:
+            raise ValueError("operands belong to different fields")
         a, b = self.enc, other.enc
         if not a:
             return other
         if not b:
             return self
-        F = self.field
         la, order = F._log[a], F.q - 1
         z = F._zech[(F._log[b] - la) % order]
         return FieldElement(F, 0 if z < 0 else F._exp[(la + z) % order])
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def __sub__(self, other: FieldElement) -> FieldElement:
         return self + (-other)
 
     def __neg__(self):
         return FieldElement(self.field, self.field._neg[self.enc])
 
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def __mul__(self, other: FieldElement) -> FieldElement:
+        F = self.field
+        if other.field is not F and other.field != F:
+            raise ValueError("operands belong to different fields")
         a, b = self.enc, other.enc
         if not a or not b:
-            return FieldElement(self.field, 0)
-        F = self.field
+            return FieldElement(F, 0)
         return FieldElement(F, F._exp[(F._log[a] + F._log[b]) % (F.q - 1)])
 
     __rmul__ = __mul__
@@ -355,6 +345,9 @@ class FieldElement:
             return FieldElement(F, 0 if n else 1)
         return FieldElement(F, F._exp[F._log[self.enc] * n % (F.q - 1)])
 
+    def __reduce__(self):  # pickle and copy rebuild through __init__
+        return FieldElement, (self.field, self.enc)
+
     def __repr__(self):
         return f"{self.enc}"
 
@@ -367,11 +360,8 @@ def _smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
     coefficients, so the result is deterministic across runs.  For e = 1
     this yields x itself.
     """
-    for low in range(p ** e):
-        cand = _decode_coeffs(low, p, e) + (1,)
-        if _fp_is_irreducible(cand, p):
-            return cand
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+    candidates = (_decode_coeffs(low, p, e) + (1,) for low in range(p ** e))
+    return next(cand for cand in candidates if _fp_is_irreducible(cand, p))
 
 
 @lru_cache(maxsize=None)

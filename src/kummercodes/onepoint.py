@@ -24,7 +24,7 @@ if TYPE_CHECKING:  # pragma: no cover
 MAX_GENUS = 2 ** 16
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class NumericalSemigroup:
     """A cofinite additive submonoid of the non-negative integers.
 

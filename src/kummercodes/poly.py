@@ -15,7 +15,7 @@ from typing import Iterable
 from .gf import Field, FieldElement
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Polynomial:
     """Polynomial with FieldElement coefficients, given as elements or
     encodings; immutable, and compared and hashed by (field, coeffs) once
@@ -63,24 +63,17 @@ class Polynomial:
         return self.coeffs[-1]
 
     def monic(self) -> "Polynomial":
-        if self.is_zero():
-            return self
         inv = self.leading_coefficient().inverse()
         return Polynomial(self.field, [c * inv for c in self.coeffs])
 
     # -- arithmetic ------------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, Polynomial):
-            if other.field != self.field:
-                raise ValueError("polynomials over different fields")
-            return other
-        return NotImplemented
+    def _check_field(self, other: "Polynomial") -> None:
+        if other.field != self.field:
+            raise ValueError("polynomials over different fields")
 
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def __mul__(self, other: "Polynomial") -> "Polynomial":
+        self._check_field(other)
         if self.is_zero() or other.is_zero():
             return Polynomial(self.field)
         z = self.field.zero()
@@ -92,10 +85,8 @@ class Polynomial:
                 out[i + j] = out[i + j] + a * b
         return Polynomial(self.field, out)
 
-    def __divmod__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
+        self._check_field(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
@@ -130,9 +121,9 @@ class Polynomial:
 
 
 def gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Monic greatest common divisor (gcd with 0 is the other argument, monic)."""
-    if f.field != g.field:
-        raise ValueError("polynomials over different fields")
+    """Monic greatest common divisor of f and g, not both zero (gcd with 0
+    is the other argument, monic)."""
+    f._check_field(g)
     a, b = f, g
     while not b.is_zero():
         a, b = b, divmod(a, b)[1]

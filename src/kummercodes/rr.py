@@ -26,7 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover
 MAX_BASIS = 2 ** 16
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Divisor:
     """Integer combination of the places P_1..P_r and P_inf.
 
@@ -44,10 +44,8 @@ class Divisor:
     coeffs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        # the dimension oracles build a Divisor per dim call, so the usual
-        # int coefficient and the empty default are not copied
-        if type(self.coeff_inf) is not int:
-            object.__setattr__(self, "coeff_inf", int(self.coeff_inf))
+        # the dimension oracles build a Divisor per dim call, so the empty
+        # default is not copied
         if self.coeffs == ():
             return
         items = []

@@ -253,6 +253,15 @@ def test_matrix_out_parses_back_to_the_generator(capsys, tmp_path, config, G, di
 
 
 def test_error_exit_codes(capsys, cfg_dir, tmp_path):
+    f2 = tmp_path / "f2.cfg"  # y^3 = x^2 + x: P_inf, P_1 and P_2 are all its places
+    f2.write_text("p = 2\ne = 1\nm = 3\nlambda = 1\nf = 0,1,1\n", encoding="utf-8")
+    for omega in ((), ("--omega",)):
+        code, out, err = run_cli(capsys, "code", "--curve", str(f2), "--G", "1P_inf + 1P_1 + 1P_2",
+                                 *omega)
+        assert (code, out) == (EXIT_PRECONDITION, "")
+        assert err == "error[3]: supp(G) holds every rational place: the code would have " \
+                      "length n = 0\n"
+
     bad = tmp_path / "bad.cfg"
     bad.write_text("p = 5\ne = 2\nm = 3\n", encoding="utf-8")  # missing keys
     code, _, err = run_cli(capsys, "semigroup", "--curve", str(bad))

@@ -95,6 +95,18 @@ def test_trivial_divisor_codes(curve_y3_x5x):
         assert dim(curve_y3_x5x, G) == 0
         with pytest.raises(ValueError, match=r"residue code is trivial: l\(G\) = 0, .* \(k = 64\)"):
             residue_code(curve_y3_x5x, G)
+    # y^3 = x^2 + x over F_2 has the rational places P_inf, P_1 and P_2 only:
+    # a G on all three leaves no evaluation place, refused before a basis or a
+    # table is built, and L(-4P_inf + 5P_2) vanishes at P_1, the one place left
+    f2 = make_field(2)
+    c2 = make_curve(f2, 3, 1, Polynomial(f2, [0, 1, 1]))
+    with mock.patch.object(gf.Field, "tables", side_effect=AssertionError("tables built")), \
+            mock.patch("kummercodes.rr.basis", side_effect=AssertionError("basis built")):
+        for build in (evaluation_code, residue_code):
+            with pytest.raises(ValueError, match=r"every rational place: .* n = 0"):
+                build(c2, Divisor(1, {1: 1, 2: 1}))
+    with pytest.raises(ValueError, match="evaluation map is identically zero"):
+        evaluation_code(c2, Divisor(-4, {2: 5}))
 
 
 def test_residue_code_reference_f64(curve_y9_quartic):

@@ -171,7 +171,8 @@ def test_curve_hashable(curve_y3_x5x, f25):
     assert shifted._places is None
     assert shifted == curve_y3_x5x and hash(shifted) == hash(curve_y3_x5x)
     assert make_curve(f25, 3, 2, f) != curve_y3_x5x
-    for obj, name in ((same, "lam"), (same, "genus"), (f, "coeffs")):
+    assert repr(same) == "KummerCurve(q=25, m=3, lam=1, f=0,4,0,0,0,1, g=4)"
+    for obj, name in ((same, "lam"), (same, "genus"), (same, "x"), (f, "coeffs"), (f, "x")):
         with pytest.raises(AttributeError):
             setattr(obj, name, 1)
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -145,11 +147,17 @@ def test_encoding_roundtrip(f25, f64):
             el = field.element(n)
             assert el.enc == n
             assert field.element(el.coeffs) == el
+    with pytest.raises(ValueError, match=r"encoding 25 outside \[0, 25\)"):
+        f25.element(25)
+    with pytest.raises(ValueError, match="expected 2 coefficients, got 3"):
+        f25.element([1, 0, 0])
 
 
 def test_mixed_field_operands_rejected(f25, f64):
     with pytest.raises(ValueError):
         f25.element(3) + f64.element(3)
+    with pytest.raises(ValueError):
+        f25.element(3) * f64.element(3)
     with pytest.raises(ValueError):
         f64.element(f25.element(1))
 
@@ -203,9 +211,12 @@ def test_element_hash_and_repr(f25):
     assert fresh._tables is None and fresh == f25 and hash(fresh) == hash(f25)
     assert fresh.element(7) == a and hash(fresh.element(7)) == hash(a)
     assert make_field(5).element(2) != f25.element(2) and f25.element(8) != a
-    for obj, name in ((f25, "q"), (f25, "_tables"), (a, "enc")):
+    assert repr(f25) == "Field(p=5, e=2)"
+    # a name that is no field is refused too, by FrozenInstanceError
+    for obj, name in ((f25, "q"), (f25, "_tables"), (f25, "x"), (a, "enc"), (a, "x")):
         with pytest.raises(AttributeError):
             setattr(obj, name, 1)
+    assert pickle.loads(pickle.dumps(a)) == a == copy.copy(a)
 
 
 # -- the exp/log/Zech arithmetic against the tuple reference above -----------

@@ -28,8 +28,12 @@ def test_semigroup_from_generators_basics(from_generators):
     fresh = NumericalSemigroup((1, 1))
     assert fresh._generators is None and fresh == s and hash(fresh) == hash(s)
     assert NumericalSemigroup((3, 1)) == NumericalSemigroup([1, 3]) != s
-    with pytest.raises(AttributeError):
-        s.genus = 2
+    for name in ("genus", "x"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, 2)
+    assert repr(s) == "NumericalSemigroup(<2,3>, genus=1)"
+    with pytest.raises(ValueError, match="positive"):
+        NumericalSemigroup((0, 1))
     s56 = from_generators((5, 6))
     assert s56.genus == 10  # sieve is the brute-force genus count
     with pytest.raises(ValueError):

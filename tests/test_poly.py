@@ -22,6 +22,10 @@ def test_coefficients_from_another_field_rejected(f25, f64):
         Polynomial(f64, [f25.one()])
     with pytest.raises(ValueError, match="different field"):
         Polynomial.from_roots(f64, [f25.one()])
+    f, g = Polynomial(f25, [1, 1]), Polynomial(f64, [1, 1])
+    for op in (lambda: f * g, lambda: divmod(f, g), lambda: gcd(f, g)):
+        with pytest.raises(ValueError, match="different fields"):
+            op()
 
 
 def test_trailing_zeros_trimmed(f25):
@@ -110,3 +114,5 @@ def test_monic_and_pow(f25):
     f = Polynomial(f25, [2, 0, 3])
     m = f.monic()
     assert m.leading_coefficient() == f25.one()
+    with pytest.raises(ValueError, match="zero polynomial has no leading coefficient"):
+        Polynomial(f25).monic()

@@ -32,8 +32,9 @@ def test_divisor_algebra():
     assert hash(Divisor(1, {1: 1})) == hash(Divisor(1, {1: 1}))
     assert Divisor(2, {1: 0}) == Divisor(2) and hash(Divisor(2, {1: 0})) == hash(Divisor(2))
     assert Divisor(0, {3: 1, 1: 2}) == Divisor(0, {1: 2, 3: 1}) != Divisor(0, {1: 2})
-    with pytest.raises(AttributeError):
-        d.coeff_inf = 1
+    for name in ("coeff_inf", "x"):
+        with pytest.raises(AttributeError):
+            setattr(d, name, 1)
     with pytest.raises(ValueError):
         Divisor(0, {0: 3})
 
@@ -120,6 +121,16 @@ def test_basis_matches_dim_and_valuations(curve_y9_quartic, curve_y6_x5x):
                 for place in places:
                     bound = D.coeff_inf if place.kind == "infinity" else D.coeff(place.index)
                     assert fn.valuation(c, place) >= -bound
+    # x has its pole at P_inf and 1/(x - alpha_1) at P_1; valuations are
+    # tracked at the distinguished places only
+    c = curve_y9_quartic
+    x = BasisFunction(y_pow=0, x_pow=1, denom=(), f_pow=0)
+    pole_1 = BasisFunction(y_pow=0, x_pow=0, denom=((1, 1),), f_pow=0)
+    for fn, place in ((x, c.place_infinity()), (pole_1, c.ramified_place(1))):
+        with pytest.raises(ValueError, match="pole at the evaluation place"):
+            fn.evaluate(c, place)
+    with pytest.raises(ValueError, match="distinguished places only"):
+        x.valuation(c, c.rational_places()[-1])
 
 
 def test_basis_valuations_general_lambda():
@@ -223,6 +234,17 @@ def test_stratum_walk_matches_reference(case):
         for place in places:
             bound = D.coeff_inf if place.kind == "infinity" else D.coeff(place.index)
             assert fn.valuation(c, place) >= -bound, (fn, place)
+
+
+@settings(max_examples=200, deadline=None)
+@given(divisors_on_curves())
+def test_riemann_roch_duality(case):
+    # an oracle for dim that shares no code with it: H(P_inf) = <m, r> is
+    # symmetric, so K = (2g - 2)P_inf is canonical, and Riemann-Roch gives
+    # l(G) - l(K - G) = deg G + 1 - g for every G, whatever its signs
+    c, G = case
+    K_minus_G = Divisor(2 * c.genus - 2 - G.coeff_inf, {i: -b for i, b in G.coeffs})
+    assert dim(c, G) - dim(c, K_minus_G) == G.degree + 1 - c.genus
 
 
 def test_gap_oracle(curve_y9_quartic):

@@ -4,22 +4,20 @@
 
 Each mutant swaps one comparison or arithmetic operator, at a site of the
 named modules drawn with the seed, in a temporary copy of src/ and the test
-inputs; the checkout is never written.  A mutant is killed when the suite
-fails on it or runs past TIMEOUT_S; a survivor is a gap in the tests or an
-equivalent mutant.
+inputs (tools/workcopy.py); the checkout is never written.  A mutant is
+killed when the suite fails on it or runs past TIMEOUT_S; a survivor is a
+gap in the tests or an equivalent mutant.
 """
 
 import argparse
 import ast
-import os
 import random
-import shutil
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+from workcopy import ROOT, run_suite, work_copy
+
 TIMEOUT_S = 300
 SWAPS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="), ast.GtE: (">=", ">"),
          ast.Eq: ("==", "!="), ast.NotEq: ("!=", "=="), ast.Add: ("+", "-"), ast.Sub: ("-", "+"),
@@ -45,10 +43,8 @@ def sites(path: Path):
 
 
 def suite_passes(work: Path) -> bool:
-    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
     try:
-        return subprocess.run(cmd, cwd=work, env={**os.environ, "PYTHONPATH": str(work / "src")},
-                              capture_output=True, timeout=TIMEOUT_S).returncode == 0
+        return run_suite(work, "-x", timeout=TIMEOUT_S).returncode == 0
     except subprocess.TimeoutExpired:
         return False
 
@@ -61,11 +57,7 @@ def main() -> int:
     args = parser.parse_args()
     pool = [site for f in args.files for site in sites(f.resolve())]
     chosen = sorted(random.Random(args.seed).sample(pool, min(args.count, len(pool))))
-    with tempfile.TemporaryDirectory() as tmp:
-        work = Path(tmp)
-        for name in ("src", "tests", "perfbench", "README.md", "pyproject.toml"):
-            copy = shutil.copytree if (ROOT / name).is_dir() else shutil.copy
-            copy(ROOT / name, work / name)
+    with work_copy() as work:
         if not suite_passes(work):
             sys.exit("the suite fails on the unmutated copy")
         killed = 0
