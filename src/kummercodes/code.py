@@ -32,7 +32,7 @@ import numpy as np
 from . import gf, rr, twopoint
 from .gf import Field
 
-if TYPE_CHECKING:  # pragma: no cover
+if TYPE_CHECKING:  # pragma: no cover - imports for annotations only
     from .curve import KummerCurve, Place
 
 DEFAULT_BUDGET = 2 ** 24

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 from .onepoint import semigroups, sorted_gap_pairs
 
-if TYPE_CHECKING:  # pragma: no cover
+if TYPE_CHECKING:  # pragma: no cover - imports for annotations only
     from .curve import KummerCurve
 
 # cap on the pure-gap scan of top**2 pairs, at most m floor steps each: at

@@ -1,6 +1,7 @@
 """The CLI's outputs stay byte-identical to the digests that tools/sweep.py
 recorded in tests/golden_outputs.json; a fixed quarter of its argvs runs
-here, the whole sweep with `python tools/sweep.py`."""
+here, the whole sweep with `python tools/sweep.py`.  The quarter leaves out
+the records whose text argparse writes, which follows the Python version."""
 
 import importlib.util
 from pathlib import Path
@@ -15,6 +16,7 @@ def test_outputs_match_the_recorded_digests():
     want = sweep.load_golden()
     argvs = sweep.argvs()
     assert list(want) == [sweep.key(argv) for argv in argvs]  # the file is not stale
-    got = sweep.records(argvs[::4])
+    got = sweep.records([argv for argv in argvs[::4]
+                         if not sweep.argparse_text(argv, want[sweep.key(argv)])])
     assert len(got) <= 500
     assert {k: v for k, v in got.items() if v != want[k]} == {}

@@ -1,6 +1,6 @@
 """Statement coverage of src/kummercodes under the tier-1 suite, stdlib only.
 
-    python tools/coverage.py            (extra arguments go to pytest: -k cli)
+    python tools/coverage.py
 
 The suite runs in a temporary copy of the checkout (tools/workcopy.py) whose
 src/ holds a sitecustomize.py.  The tests start their child interpreters on
@@ -128,13 +128,11 @@ def check_module(source: str, hit: set[int]) -> Report:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0],
-                                     epilog="other arguments go to pytest, e.g. -k cli")
-    _, pytest_args = parser.parse_known_args()
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
     hits = defaultdict(set)
     with work_copy() as work:
         (work / "src" / "sitecustomize.py").write_text(HOOK)
-        result = run_suite(work, *pytest_args)
+        result = run_suite(work)
         for dump in (work / HITS_DIR).glob("*.txt"):
             for row in dump.read_text().splitlines():
                 name, _, nums = row.partition("\t")
