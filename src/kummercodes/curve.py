@@ -98,9 +98,9 @@ class KummerCurve:
 
     def ramified_place(self, index: int) -> Place:
         if not 1 <= index <= len(self.alphas):
-            raise ValueError(
-                f"ramified place index {index} out of range 1..{len(self.alphas)}"
-            )
+            raise ValueError(f"ramified place index {index} out of range 1..{len(self.alphas)}"
+                             if self.alphas else
+                             "f has no root in F_q, so the curve has no place P_i to name")
         return Place("ramified", index)
 
     def place(self, spec: str) -> Place:

@@ -1,7 +1,7 @@
 """One-point Weierstrass semigroups at the totally ramified places.
 
 Both gap sets, and the gap graph of :mod:`.twopoint`, are read off one
-lattice walk per (m, r), :func:`sorted_gap_pairs`, for genus up to
+memoised lattice walk per (m, r), :func:`gap_pairs`, for genus up to
 MAX_GENUS.  Two more routes to the same gap sets stay as cross-checks: the
 closed-form gap tests of :func:`is_gap`, which never walk, and the
 dimension oracle in :mod:`.rr`.
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - imports for annotations only
     from .curve import KummerCurve, Place
@@ -123,29 +123,27 @@ def is_gap(curve: "KummerCurve", place: "Place", s: int) -> bool:
     return r * (-s % m) > m * (1 + (s - 1) // m)
 
 
-def gap_pairs(m: int, r: int) -> Iterator[tuple[int, int]]:
-    """The lattice {(i, j) : i, j >= 1, m*j + r*i < m*r} as pairs
+@lru_cache(maxsize=None)
+def gap_pairs(m: int, r: int) -> tuple[tuple[int, int], ...]:
+    """The lattice {(i, j) : i, j >= 1, m*j + r*i < m*r} as sorted pairs
     (m*r - m*j - r*i, i + m*(j - 1)): a gap at P_inf, paired with a gap at
-    a place over a root of f.  A genus past MAX_GENUS raises ValueError."""
+    a place over a root of f; the one walk per (m, r).  A genus past
+    MAX_GENUS raises ValueError before the walk."""
     genus = (m - 1) * (r - 1) // 2
     if genus > MAX_GENUS:
         raise ValueError(f"genus {genus} exceeds onepoint.MAX_GENUS = {MAX_GENUS}")
-    return ((m * r - m * j - r * i, i + m * (j - 1))
-            for i in range(1, m - m // r) for j in range(1, r - (r * i) // m))
-
-
-@lru_cache(maxsize=None)
-def sorted_gap_pairs(m: int, r: int) -> tuple[tuple[int, int], ...]:
-    """The pairs of gap_pairs(m, r), sorted; the one walk per (m, r)."""
-    return tuple(sorted(gap_pairs(m, r)))
+    pairs = tuple(sorted((m * r - m * j - r * i, i + m * (j - 1))
+                         for i in range(1, m - m // r) for j in range(1, r - (r * i) // m)))
+    assert len(pairs) == genus, "pair count must equal the genus"
+    return pairs
 
 
 @lru_cache(maxsize=None)
 def semigroups(m: int, r: int) -> tuple[NumericalSemigroup, NumericalSemigroup]:
     """(H(P_inf), H(P)) as functions of (m, r): <m, r>, and the semigroup at
     every place over a root of f, rational center or not; each is the
-    complement of one projection of sorted_gap_pairs."""
-    pairs = sorted_gap_pairs(m, r)
+    complement of one projection of gap_pairs."""
+    pairs = gap_pairs(m, r)
     return (NumericalSemigroup(a for a, _ in pairs), NumericalSemigroup(b for _, b in pairs))
 
 

@@ -35,9 +35,10 @@ class Divisor:
     conjugate places, which can carry coefficients for dimension counts but
     cannot be used in explicit bases or code supports.
 
-    ``coeffs`` is given as a mapping {index: coefficient} and kept as its
-    sorted (index, coefficient) pairs without the zero ones; the divisor is
-    immutable, and compared and hashed by (coeff_inf, coeffs).
+    ``coeffs`` is given as a mapping {index: coefficient} or as its
+    (index, coefficient) pairs, and kept as those pairs, sorted and without
+    the zero ones; the divisor is immutable, and compared and hashed by
+    (coeff_inf, coeffs).
     """
 
     coeff_inf: int = 0
@@ -49,7 +50,7 @@ class Divisor:
         if self.coeffs == ():
             return
         items = []
-        for i, c in (self.coeffs or {}).items():
+        for i, c in dict(self.coeffs).items():
             if i < 1:
                 raise ValueError(f"place index must be >= 1, got {i}")
             if c:
@@ -115,7 +116,9 @@ class Divisor:
             except ValueError:
                 raise ValueError(f"bad place index in divisor term {term!r}") from None
             if not 1 <= index <= named:
-                raise ValueError(f"place index {index} out of range 1..{named}")
+                # the text of KummerCurve.ramified_place on such a curve
+                raise ValueError(f"place index {index} out of range 1..{named}" if named else
+                                 "f has no root in F_q, so the curve has no place P_i to name")
             total += cls.at_place(index, coeff)
         return total
 

@@ -4,11 +4,11 @@ All finite totally ramified places carry the same structure, and as
 gcd(m, lambda) = 1, y' = y**a / f**b with a*lambda - b*m = 1 turns the
 curve into y'**m = f(x) fixing x, P_inf and every P_i.  So everything here
 depends only on (m, r) and is memoised on those integers: the gap graph is
-the lattice walk onepoint.gap_pairs, pure gaps come from the floor
-criterion for every lambda, and the dimension oracle of :mod:`.rr` stays as
-the cross-check (tests, ``--member``, verify-paper).  The box search ranks
-its designs once per (m, r), and the code length n only picks the first
-design with deg G < n.
+the lattice walk onepoint.gap_pairs, membership reads its bijection alone,
+pure gaps come from the floor criterion for every lambda, and the dimension
+oracle of :mod:`.rr` stays as the cross-check (tests, ``--member``,
+verify-paper).  The box search ranks its designs once per (m, r), and the
+code length n only picks the first design with deg G < n.
 The pair convention: first coordinate at P_inf, second at P.
 """
 
@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import isqrt
 from typing import TYPE_CHECKING
 
-from .onepoint import semigroups, sorted_gap_pairs
+from .onepoint import gap_pairs
 
 if TYPE_CHECKING:  # pragma: no cover - imports for annotations only
     from .curve import KummerCurve
@@ -38,12 +38,6 @@ class GapGraph:
     """
 
     pairs: tuple[tuple[int, int], ...]
-
-    def by_first(self) -> dict[int, int]:
-        return {a: b for a, b in self.pairs}
-
-    def by_second(self) -> dict[int, int]:
-        return {b: a for a, b in self.pairs}
 
     def to_list(self) -> list[list[int]]:
         return [[a, b] for a, b in self.pairs]
@@ -78,22 +72,16 @@ class PureGapBox:
 
 
 def gap_graph(curve: "KummerCurve") -> GapGraph:
-    """The pairs of onepoint.sorted_gap_pairs; its projections are the gap
-    sets of onepoint.semigroups."""
-    return _gap_graph(curve.m, curve.r)
+    """The pairs of onepoint.gap_pairs; its projections are the gap sets of
+    onepoint.semigroups."""
+    return GapGraph(gap_pairs(curve.m, curve.r))
 
 
 @lru_cache(maxsize=None)
-def _gap_graph(m: int, r: int) -> GapGraph:
-    graph = GapGraph(sorted_gap_pairs(m, r))
-    assert len(graph.pairs) == (m - 1) * (r - 1) // 2, "pair count must equal the genus"
-    return graph
-
-
-@lru_cache(maxsize=None)
-def _membership_data(m: int, r: int):
-    graph = _gap_graph(m, r)
-    return (graph.by_first(), graph.by_second()) + semigroups(m, r)
+def _membership_data(m: int, r: int) -> tuple[dict[int, int], dict[int, int]]:
+    """The bijection sigma of the gap graph and its inverse."""
+    pairs = gap_pairs(m, r)
+    return dict(pairs), {b: a for a, b in pairs}
 
 
 def is_member(curve: "KummerCurve", a: int, b: int) -> bool:
@@ -103,14 +91,13 @@ def is_member(curve: "KummerCurve", a: int, b: int) -> bool:
     the gap graph together with H(P_inf) x {0} and {0} x H(P).  (a, b) is
     such a maximum iff the closure contains an element with first
     coordinate exactly a and second <= b, and one with second coordinate
-    exactly b and first <= a.
+    exactly b and first <= a: sigma(a) <= b for a gap a at P_inf, as a
+    member a has (a, 0), and sigma^-1(b) <= a for a gap b at P.
     """
     if a < 0 or b < 0:
         raise ValueError("membership is defined for non-negative pairs")
-    by_first, by_second, sem_inf, sem_p = _membership_data(curve.m, curve.r)
-    first_ok = (a in sem_inf) or by_first[a] <= b
-    second_ok = (b in sem_p) or by_second[b] <= a
-    return first_ok and second_ok
+    sigma, sigma_inv = _membership_data(curve.m, curve.r)
+    return sigma.get(a, 0) <= b and sigma_inv.get(b, 0) <= a
 
 
 def floor_pure_gap(m: int, r: int, a: int, b: int) -> bool:

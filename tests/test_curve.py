@@ -9,6 +9,7 @@ import pytest
 import kummercodes
 from kummercodes import Polynomial, make_curve, make_field
 from kummercodes.curve import ConfigError, KummerCurve, load_curve, parse_curve_config
+from kummercodes.rr import Divisor
 
 
 def test_reference_curve_parameters(curve_y3_x5x, curve_y9_quartic, curve_y6_x5x):
@@ -110,6 +111,10 @@ def test_curve_with_no_rational_branch_points(f25):
     f = Polynomial(f5, [2, 0, 1])  # x^2 + 2
     c = make_curve(f5, 3, 1, f)
     assert c.alphas == ()
+    for name_place in (lambda: c.ramified_place(1), lambda: Divisor.parse("5P_inf+1P_1", 0)):
+        with pytest.raises(ValueError) as exc:
+            name_place()
+        assert str(exc.value) == "f has no root in F_q, so the curve has no place P_i to name"
     places = c.rational_places()
     # x -> x^3 is a bijection on F_5, so each nonzero value has one cube root
     assert len(places) == 1 + 0 + 5

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 from functools import lru_cache
@@ -32,6 +33,9 @@ def test_divisor_algebra():
     assert hash(Divisor(1, {1: 1})) == hash(Divisor(1, {1: 1}))
     assert Divisor(2, {1: 0}) == Divisor(2) and hash(Divisor(2, {1: 0})) == hash(Divisor(2))
     assert Divisor(0, {3: 1, 1: 2}) == Divisor(0, {1: 2, 3: 1}) != Divisor(0, {1: 2})
+    # the stored form is accepted as input, so dataclasses.replace works
+    assert Divisor(5, ((1, 2),)) == Divisor(5, {1: 2})
+    assert dataclasses.replace(Divisor(5, {1: 2}), coeff_inf=3) == Divisor(3, {1: 2})
     for name in ("coeff_inf", "x"):
         with pytest.raises(AttributeError):
             setattr(d, name, 1)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import time
 from functools import lru_cache
@@ -32,8 +34,8 @@ REFERENCE_PAIRS = (
 def test_gap_graph_reference(curve_y9_quartic):
     graph = gap_graph(curve_y9_quartic)
     assert graph.pairs == REFERENCE_PAIRS
-    assert graph.by_first()[14] == 10
-    assert graph.by_second()[1] == 23
+    assert dict(graph.pairs)[14] == 10
+    assert {b: a for a, b in graph.pairs}[1] == 23
 
 
 def test_gap_graph_small_cases(curve_y3_x5x):
@@ -283,6 +285,24 @@ def test_best_box_matches_per_call_search(grid_curves):
     assert len(curves) == 23
 
 
+# sha256 of the JSON list below; it changes only with a named output change
+BEST_BOX_DIGEST = "e1d60a81fceb24e982ed55304f2063c06bef1ddaa480dc546d2a990c0a1375fe"
+
+
+def test_best_box_digest_over_the_grid(grid_curves):
+    # best_pure_gap_box(c, n).to_dict(), or its error text, on every grid
+    # curve at 1 <= n <= 10g + 11, byte for byte as recorded
+    out = []
+    for c in grid_curves:
+        for n in range(1, 10 * c.genus + 12):
+            try:
+                out.append(best_pure_gap_box(c, n).to_dict())
+            except ValueError as exc:
+                out.append(str(exc))
+    assert len(grid_curves) == 90 and len(out) == 8260
+    assert hashlib.sha256(json.dumps(out).encode()).hexdigest() == BEST_BOX_DIGEST
+
+
 def test_box_for_divisor(curve_y9_quartic, curve_y6_x5x, curve_y3_x5x):
     box = box_for_divisor(curve_y9_quartic, 19, 19)
     assert (box.beta, box.gamma, box.t1, box.t2) == (10, 10, 0, 0)
@@ -291,6 +311,11 @@ def test_box_for_divisor(curve_y9_quartic, curve_y6_x5x, curve_y3_x5x):
     assert box_for_divisor(curve_y3_x5x, 1, 1) == PureGapBox(1, 1, 0, 0)
     assert box_for_divisor(curve_y3_x5x, 2, 2) is None
     assert box_for_divisor(curve_y3_x5x, 0, 3) is None
+    # a coefficient past 4g - 3 gets None at once, with no point tested
+    top = 4 * curve_y3_x5x.genus - 3
+    with mock.patch.object(twopoint, "_first_impure", side_effect=AssertionError):
+        assert box_for_divisor(curve_y3_x5x, top + 1, 1) is None
+        assert box_for_divisor(curve_y3_x5x, 1, top + 1) is None
 
 
 def test_box_divisor_coefficients():
