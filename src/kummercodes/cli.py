@@ -3,8 +3,8 @@
 Subcommands: semigroup, twopoint, code, verify-paper.  JSON is the canonical
 output format (text and csv are views of the same dictionary), and identical
 invocations produce byte-identical output.  This module only wires arguments
-and formats reports: --G is read by rr.Divisor.parse, --place by
-KummerCurve.place, next to the code that prints those forms.
+and formats reports: --G is read by rr.Divisor.parse, and --place and each
+place label of --G by KummerCurve.place, next to the code that prints them.
 
 Exit codes: 0 success; 2 bad curve configuration, or a curve, output or
 matrix file that cannot be read or written; 3 precondition violation;
@@ -128,7 +128,7 @@ def cmd_code(args) -> int:
     from . import code  # numpy comes with the code layer: only code and verify-paper load it
 
     curve = load_curve(args.curve)
-    G = rr.Divisor.parse(args.G, len(curve.alphas))
+    G = rr.Divisor.parse(args.G, curve)
     if args.omega:
         lin = code.residue_code(curve, G)
     else:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd as int_gcd
 from pathlib import Path
 
@@ -50,7 +51,8 @@ class KummerCurve:
     prime to the characteristic, f separable of degree >= 2 (degree 1 would
     give genus 0, where the whole gap theory is empty), gcd(m, r*lam) = 1.
     lam is normalized into (0, m).  Immutable, and compared and hashed by
-    (field, m, lam, f); r, genus, alphas and the places are derived."""
+    (field, m, lam, f); r, genus, alphas and the places are derived, alphas
+    (a scan of F_q for the roots of f) only when first read."""
 
     field: Field
     m: int
@@ -58,7 +60,6 @@ class KummerCurve:
     f: Polynomial
     r: int = dataclasses.field(init=False, compare=False)
     genus: int = dataclasses.field(init=False, compare=False)
-    alphas: tuple[FieldElement, ...] = dataclasses.field(init=False, compare=False)
     _places: tuple[Place, ...] | None = dataclasses.field(init=False, compare=False,
                                                           default=None)
 
@@ -82,10 +83,13 @@ class KummerCurve:
             raise ValueError(f"gcd(m, r*lambda) = {int_gcd(m, r * lam)} must be 1")
         if not is_separable(f):
             raise ValueError("f must be separable (pairwise distinct roots)")
-        alphas = tuple(sorted(roots_in_field(f), key=lambda a: a.enc))
-        for name, value in (("lam", lam), ("r", r), ("genus", (m - 1) * (r - 1) // 2),
-                            ("alphas", alphas)):
+        for name, value in (("lam", lam), ("r", r), ("genus", (m - 1) * (r - 1) // 2)):
             object.__setattr__(self, name, value)
+
+    @cached_property
+    def alphas(self) -> tuple[FieldElement, ...]:
+        """The roots of f in F_q in encoding order: P_i is centred on alphas[i - 1]."""
+        return tuple(sorted(roots_in_field(self.f), key=lambda a: a.enc))
 
     def __repr__(self):
         return (f"KummerCurve(q={self.field.q}, m={self.m}, lam={self.lam}, "

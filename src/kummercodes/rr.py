@@ -94,9 +94,10 @@ class Divisor:
         return " + ".join(parts) or "0"
 
     @classmethod
-    def parse(cls, text: str, named: int) -> "Divisor":
+    def parse(cls, text: str, curve: "KummerCurve") -> "Divisor":
         """Read what __repr__ prints: '0', or terms '<int>P_inf' and
-        '<int>P_<i>', 1 <= i <= named, joined by '+' (spaces ignored)."""
+        '<int>P_<i>' joined by '+' (spaces ignored), each label read by
+        ``curve.place``."""
         total, spec = cls(), text.replace(" ", "")
         for term in spec.split("+") if spec != "0" else ():
             if not term:
@@ -108,18 +109,8 @@ class Divisor:
                 coeff = int(head)
             except ValueError:
                 raise ValueError(f"bad coefficient in divisor term {term!r}") from None
-            if tail == "inf":
-                total += cls(coeff)
-                continue
-            try:
-                index = int(tail)
-            except ValueError:
-                raise ValueError(f"bad place index in divisor term {term!r}") from None
-            if not 1 <= index <= named:
-                # the text of KummerCurve.ramified_place on such a curve
-                raise ValueError(f"place index {index} out of range 1..{named}" if named else
-                                 "f has no root in F_q, so the curve has no place P_i to name")
-            total += cls.at_place(index, coeff)
+            place = curve.place("P_" + tail)
+            total += cls(coeff) if place.kind == "infinity" else cls.at_place(place.index, coeff)
         return total
 
 

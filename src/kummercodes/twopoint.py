@@ -302,12 +302,12 @@ def box_for_divisor(curve: "KummerCurve", inf_coeff: int, place_coeff: int) -> P
     bound applies to G.
 
     The matching rectangles share one centre and nest, so the pure ones form
-    a staircase: the walk steps t1 up by 2 and only ever lowers t2.  Pure-gap
-    coordinates are at most 2g - 1, so a box designs coefficients
-    2*beta + t1 - 1 <= 2*(beta + t1) - 1 <= 4g - 3, and larger ones get None.
+    a staircase: the walk steps t1 up by 2 and only ever lowers t2.  The far
+    corner (beta + t1, gamma + t2) is a pure gap, so its coordinates sum to at
+    most 2g - 1, and a box designs inf_coeff + place_coeff
+    = 2*(beta + gamma) + t1 + t2 - 2 <= 4g - 4; larger sums get None.
     """
-    top = 4 * curve.genus - 3
-    if not (1 <= inf_coeff <= top and 1 <= place_coeff <= top):
+    if inf_coeff < 1 or place_coeff < 1 or inf_coeff + place_coeff > 4 * curve.genus - 4:
         return None
     best: PureGapBox | None = None
     t2 = place_coeff - 1

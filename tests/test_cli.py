@@ -35,6 +35,9 @@ from kummercodes.curve import curve_from_config, load_curve, parse_curve_config
 def cfg_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("configs")
     write_reference_configs(directory)
+    # y^3 = x^2 + 2 over F_5: f has no root, so no place P_i can be named
+    (directory / "f5_y3.cfg").write_text("p = 5\ne = 1\nm = 3\nlambda = 1\nf = 2,0,1\n",
+                                         encoding="utf-8")
     return directory
 
 
@@ -293,19 +296,30 @@ def test_error_exit_codes(capsys, cfg_dir, tmp_path):
     assert code == EXIT_PRECONDITION and "divides" in err
 
 
+_NO_ROOT = "f has no root in F_q, so the curve has no place P_i to name"
+
+
+# a --G place label and --place are read by one KummerCurve.place, so the
+# same place gives the same text through either; each argv starts with the
+# stem of the config it runs on
 @pytest.mark.parametrize("argv,message", [
-    (("semigroup", "--place", "x"), "bad place selector 'x'; use 'inf' or an index"),
-    (("code", "--G", "5P_inf +"), "empty term in divisor spec"),
-    (("code", "--G", "xP_inf"), "bad coefficient in divisor term 'xP_inf'"),
-    (("code", "--G", "5P_a"), "bad place index in divisor term '5P_a'"),
-    (("code", "--G", "5P_9"), "place index 9 out of range 1..5"),
-    (("twopoint", "--place", "inf", "--gamma"), "the second point must be a finite ramified place"),
-    (("twopoint",), "choose one of --gamma, --pure-gaps, --member"),
-    (("code", "--omega", "--G=2P_inf + -9P_1"),
+    (("f25_y3", "semigroup", "--place", "x"), "bad place selector 'x'; use 'inf' or an index"),
+    (("f25_y3", "code", "--G", "5P_inf +"), "empty term in divisor spec"),
+    (("f25_y3", "code", "--G", "xP_inf"), "bad coefficient in divisor term 'xP_inf'"),
+    (("f25_y3", "code", "--G", "5P_a"), "bad place selector 'P_a'; use 'inf' or an index"),
+    (("f25_y3", "code", "--G", "5P_9"), "ramified place index 9 out of range 1..5"),
+    (("f25_y3", "twopoint", "--place", "inf", "--gamma"),
+     "the second point must be a finite ramified place"),
+    (("f25_y3", "twopoint"), "choose one of --gamma, --pure-gaps, --member"),
+    (("f25_y3", "code", "--omega", "--G=2P_inf + -9P_1"),
      "the residue code is trivial: l(G) = 0, so it is all of F_q^64 (k = 64)"),
+    (("f25_y3", "semigroup", "--place", "9"), "ramified place index 9 out of range 1..5"),
+    (("f5_y3", "code", "--G", "1P_1"), _NO_ROOT),
+    (("f5_y3", "twopoint", "--place", "1"), _NO_ROOT),
 ])
 def test_precondition_messages(capsys, cfg_dir, argv, message):
-    code, out, err = run_cli(capsys, *argv[:1], "--curve", str(cfg_dir / "f25_y3.cfg"), *argv[1:])
+    curve, command, *rest = argv
+    code, out, err = run_cli(capsys, command, "--curve", str(cfg_dir / f"{curve}.cfg"), *rest)
     assert (code, out, err) == (EXIT_PRECONDITION, "", f"error[3]: {message}\n")
 
 

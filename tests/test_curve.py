@@ -3,12 +3,15 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import kummercodes
+import kummercodes.curve as curve_mod
 from kummercodes import Polynomial, make_curve, make_field
 from kummercodes.curve import ConfigError, KummerCurve, load_curve, parse_curve_config
+from kummercodes.poly import roots_in_field
 from kummercodes.rr import Divisor
 
 
@@ -111,7 +114,7 @@ def test_curve_with_no_rational_branch_points(f25):
     f = Polynomial(f5, [2, 0, 1])  # x^2 + 2
     c = make_curve(f5, 3, 1, f)
     assert c.alphas == ()
-    for name_place in (lambda: c.ramified_place(1), lambda: Divisor.parse("5P_inf+1P_1", 0)):
+    for name_place in (lambda: c.ramified_place(1), lambda: Divisor.parse("5P_inf+1P_1", c)):
         with pytest.raises(ValueError) as exc:
             name_place()
         assert str(exc.value) == "f has no root in F_q, so the curve has no place P_i to name"
@@ -180,6 +183,12 @@ def test_curve_hashable(curve_y3_x5x, f25):
     for obj, name in ((same, "lam"), (same, "genus"), (same, "x"), (f, "coeffs"), (f, "x")):
         with pytest.raises(AttributeError):
             setattr(obj, name, 1)
+    # the roots of f are scanned for only when alphas is first read, and once
+    with mock.patch.object(curve_mod, "roots_in_field", wraps=roots_in_field) as scan:
+        fresh = make_curve(f25, 3, 1, f)
+        assert scan.call_count == 0
+        assert fresh.alphas is fresh.alphas and scan.call_count == 1
+    assert fresh.alphas == curve_y3_x5x.alphas
 
 
 def test_theory_path_does_not_import_numpy(tmp_path):

@@ -306,23 +306,25 @@ def test_evaluate_ramified_f_power():
                     assert value == alpha ** j * h(alpha) ** (-s), (c, i, s, j)
 
 
-def test_divisor_parse_forms():
-    assert Divisor.parse("0", 0) == Divisor.parse(" 0 ", 3) == Divisor()
-    assert Divisor.parse("5P_inf + 2P_1 + -1P_inf + 3P_1", 1) == Divisor(4, {1: 5})
-    assert Divisor.parse("2P_1 + -2P_1", 1) == Divisor()
+def test_divisor_parse_forms(curve_y3_x5x):
+    c = curve_y3_x5x
+    assert Divisor.parse("0", c) == Divisor.parse(" 0 ", c) == Divisor()
+    assert Divisor.parse("5P_inf + 2P_1 + -1P_inf + 3P_1", c) == Divisor(4, {1: 5})
+    assert Divisor.parse("2P_1 + -2P_1", c) == Divisor()
     with pytest.raises(ValueError, match="bad divisor term '0'"):  # '0' is a whole divisor
-        Divisor.parse("0 + 5P_inf", 1)
+        Divisor.parse("0 + 5P_inf", c)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 6), st.data())
 def test_divisor_parse_reads_what_repr_prints(named, data):
+    curve = _partly_split_curve(3, 8, 1, named)
     coeff = st.integers(-10 ** 12, 10 ** 12)
     coeff_inf = data.draw(st.one_of(st.just(0), coeff), label="coeff_inf")
     places = st.integers(1, named) if named else st.nothing()
     coeffs = data.draw(st.dictionaries(places, coeff, max_size=named), label="coeffs")
     D = Divisor(coeff_inf, coeffs)
-    assert Divisor.parse(repr(D), named) == D
+    assert Divisor.parse(repr(D), curve) == D
 
 
 def test_basis_cap(curve_y3_x5x, monkeypatch):

@@ -311,11 +311,15 @@ def test_box_for_divisor(curve_y9_quartic, curve_y6_x5x, curve_y3_x5x):
     assert box_for_divisor(curve_y3_x5x, 1, 1) == PureGapBox(1, 1, 0, 0)
     assert box_for_divisor(curve_y3_x5x, 2, 2) is None
     assert box_for_divisor(curve_y3_x5x, 0, 3) is None
-    # a coefficient past 4g - 3 gets None at once, with no point tested
+    # a coefficient sum past 4g - 4 gets None at once, with no point tested;
+    # a sum of 4g - 4 still walks
     top = 4 * curve_y3_x5x.genus - 3
     with mock.patch.object(twopoint, "_first_impure", side_effect=AssertionError):
         assert box_for_divisor(curve_y3_x5x, top + 1, 1) is None
         assert box_for_divisor(curve_y3_x5x, 1, top + 1) is None
+        assert box_for_divisor(curve_y3_x5x, top - 3, 3) is None
+        with pytest.raises(AssertionError):
+            box_for_divisor(curve_y3_x5x, top - 4, 3)
 
 
 def test_box_divisor_coefficients():
