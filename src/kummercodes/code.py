@@ -189,6 +189,7 @@ def evaluation_matrix(curve: "KummerCurve", fns: Sequence[rr.BasisFunction],
     of one y-stratum share y**t * prod_i (x - alpha_i)**(-e_i) * f(x)**(-s)
     and differ only in x**j, so each row is one exp gather of
     j*log x + t*log y - sum_i e_i*log(x - alpha_i) - s*log f(x) mod q - 1,
+    log f(x) read by x off the curve's one scan of f, ``curve.log_f``,
     and 0 where x = 0 < j or y = 0 < t.  y = f(x) = 0 only at a P_i, where
     t = 0 gives s = 0, and x - alpha_i vanishes only on supp G.  At P_inf
     a function is 1 where its valuation is 0 (monic factors), else 0.
@@ -205,10 +206,7 @@ def evaluation_matrix(curve: "KummerCurve", fns: Sequence[rr.BasisFunction],
             points.append((place.x.enc, place.y.enc) if place.kind == "ordinary"
                           else (curve.alphas[place.index - 1].enc, 0))
     xs, ys = np.array(points, dtype=t.add.dtype).reshape(-1, 2).T
-    fx = np.zeros_like(xs)
-    for c in reversed(curve.f.coeffs):
-        fx = t.add[t.mul[fx, xs], c.enc]
-    log_x, log_y, log_f = t.log[xs], t.log[ys], t.log[fx]
+    log_x, log_y, log_f = t.log[xs], t.log[ys], np.asarray(curve.log_f)[xs]
     start = 0
     for (y_pow, denom, f_pow), stratum in groupby(fns, lambda fn: (fn.y_pow, fn.denom, fn.f_pow)):
         js = np.array([fn.x_pow for fn in stratum], dtype=np.int64)

@@ -1,10 +1,10 @@
 """The Kummer extension y**m = f(x)**lambda over F_q.
 
 Validates the defining data, computes the genus and enumerates the
-degree-one places: the distinguished totally ramified ones, P_inf and P_i
-centred on the root ``alphas[i - 1]`` of f, plus the ordinary affine
-points.  Valuations and Riemann-Roch spaces on the distinguished places
-are :mod:`.rr`'s (``BasisFunction.valuation`` and ``dim``).
+degree-one places, off one scan of F_q that evaluates f once per x: the
+distinguished totally ramified ones, P_inf and P_i centred on the root
+``alphas[i - 1]`` of f, plus the ordinary affine points.  Valuations and
+Riemann-Roch spaces on the distinguished places are :mod:`.rr`'s.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from math import gcd as int_gcd
 from pathlib import Path
 
 from .gf import Field, FieldElement, make_field
-from .poly import Polynomial, is_separable, roots_in_field
+from .poly import Polynomial, is_separable
 
 
 class ConfigError(ValueError):
@@ -51,8 +51,8 @@ class KummerCurve:
     prime to the characteristic, f separable of degree >= 2 (degree 1 would
     give genus 0, where the whole gap theory is empty), gcd(m, r*lam) = 1.
     lam is normalized into (0, m).  Immutable, and compared and hashed by
-    (field, m, lam, f); r, genus, alphas and the places are derived, alphas
-    (a scan of F_q for the roots of f) only when first read."""
+    (field, m, lam, f); r and genus are derived on construction, and
+    log_f (the one scan of F_q), alphas and the places when first read."""
 
     field: Field
     m: int
@@ -87,9 +87,14 @@ class KummerCurve:
             object.__setattr__(self, name, value)
 
     @cached_property
+    def log_f(self) -> tuple[int, ...]:
+        """log f(x) by the encoding of x, -1 where f(x) = 0: f evaluated once per x."""
+        return tuple(self.field._log[self.f(a).enc] for a in self.field.elements())
+
+    @cached_property
     def alphas(self) -> tuple[FieldElement, ...]:
         """The roots of f in F_q in encoding order: P_i is centred on alphas[i - 1]."""
-        return tuple(sorted(roots_in_field(self.f), key=lambda a: a.enc))
+        return tuple(FieldElement(self.field, x) for x, v in enumerate(self.log_f) if v < 0)
 
     def __repr__(self):
         return (f"KummerCurve(q={self.field.q}, m={self.m}, lam={self.lam}, "
@@ -118,26 +123,23 @@ class KummerCurve:
         return self.ramified_place(index)
 
     def rational_places(self) -> tuple[Place, ...]:
-        """All degree-one places: P_inf, then the ramified places in
-        encoding order of their centers, then the ordinary points in
-        lexicographic (enc x, enc y) order."""
+        """All degree-one places: P_inf, the P_i in encoding order of their
+        centers, then the ordinary points in (enc x, enc y) order.  Over f(x) =
+        g**v != 0 they are the y = g**u with m*u = lam*v mod q - 1, if any."""
         if self._places is not None:
             return self._places
+        field, order = self.field, self.field.q - 1
+        d = int_gcd(self.m, order)
+        step, inverse = order // d, pow(self.m // d, -1, order // d)  # 0 when q = 2
         places = [Place("infinity")]
         places += [Place("ramified", i) for i in range(1, len(self.alphas) + 1)]
-        power_of = {}
-        for b in self.field.elements():
-            power_of.setdefault((b ** self.m).enc, []).append(b)
-        for a in self.field.elements():
-            fa = self.f(a)
-            if fa.is_zero():
-                continue
-            target = (fa ** self.lam).enc
-            for b in power_of.get(target, ()):
-                places.append(Place("ordinary", x=a, y=b))
-        out = tuple(places)
-        object.__setattr__(self, "_places", out)
-        return out
+        for x, v in enumerate(self.log_f):
+            if v >= 0 and self.lam * v % d == 0:
+                u = self.lam * v // d * inverse % step
+                places += [Place("ordinary", x=FieldElement(field, x), y=FieldElement(field, y))
+                           for y in sorted(field._exp[u + k * step] for k in range(d))]
+        object.__setattr__(self, "_places", tuple(places))
+        return self._places
 
 
 def make_curve(field: Field, m: int, lam: int, f: Polynomial) -> KummerCurve:

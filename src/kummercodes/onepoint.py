@@ -69,13 +69,12 @@ class NumericalSemigroup:
         top = self.conductor + least
         # bit n is set iff n is a positive member below top
         positive = int("".join("1" if n in self else "0" for n in range(top - 1, 0, -1)) + "0", 2)
-        sums, marked, gens = 0, "", []
+        sums, gens = 0, []
         for n in range(least, top):
-            if n in self and marked[n:n + 1] != "1":
+            if n in self and not sums >> n & 1:
                 gens.append(n)
                 if n < self.conductor:  # larger ones only reach top and past
                     sums |= positive << n
-                    marked = bin(sums)[:1:-1]
         out = tuple(gens)
         object.__setattr__(self, "_generators", out)
         return out

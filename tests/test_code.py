@@ -1,6 +1,7 @@
 import contextlib
 import itertools
 import operator
+from math import gcd
 from unittest import mock
 
 import numpy as np
@@ -383,6 +384,70 @@ def test_codes_are_the_lambda_one_codes_under_the_place_map(p, e, m, lam, f):
             want, got = build(base, G), build(curve, G)
             assert np.array_equal(rref(field, want.gen[:, perm])[0], got.gen), (build, G)
             assert (want.designed_d, want.d_kind) == (got.designed_d, got.d_kind)
+
+
+# (p, e) for q = 5, 7, 8, 9, 11, 13, 16
+RESIDUE_FIELDS = ((5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4))
+
+
+@st.composite
+def split_curves_and_divisors(draw):
+    """y^m = prod_{i<r} (x - i)^lam with m | q - 1, so that f splits and every
+    place over an x with a rational point is rational, and a G with
+    coeff_inf != 0 and any terms on the r ramified places."""
+    field = make_field(*draw(st.sampled_from(RESIDUE_FIELDS)))
+    q = field.q
+    m = draw(st.sampled_from([m for m in range(2, q) if (q - 1) % m == 0]))
+    r = draw(st.sampled_from([r for r in range(2, min(q, 6) + 1) if gcd(m, r) == 1]))
+    lam = draw(st.sampled_from([lam for lam in range(1, m) if gcd(m, lam) == 1]))
+    curve = make_curve(field, m, lam, Polynomial.from_roots(field, range(r)))
+    g = curve.genus
+    a = draw(st.integers(-3, -1) | st.integers(1, 2 * g + 4))
+    terms = draw(st.dictionaries(st.integers(1, r), st.integers(-3, 2 * g + 4), max_size=r))
+    return curve, Divisor(a, terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(split_curves_and_divisors())
+def test_residue_code_by_the_residue_theorem(case):
+    """C_Omega(G) built without nullspace (Stichtenoth, Prop. 2.2.10).
+
+    With S the x-values of the finite rational places and h_S = prod_{c in S}
+    (x - c), eta = dx / h_S has a simple pole at each of them: (dx) =
+    (m - 1) sum_i P_i - (m + 1) P_inf, and x - c vanishes to order m at P_i
+    over c = alpha_i and to order 1 at the m unramified places over other c.
+    So E = D - G + (eta) = (|S| m - m - 1 - a) P_inf - sum_i (b_i + 1) P_i
+    lies on the distinguished places, and C_Omega(G) = C_L(E) * diag(res eta),
+    with res = 1 / h_S'(c) over c and m / h_S'(alpha_i) at P_i.  The Goppa
+    bound of C_L(E), n - deg E, is deg G - (2g - 2).
+    """
+    curve, G = case
+    field, m = curve.field, curve.m
+    try:
+        want = residue_code(curve, G)
+    except ValueError as exc:  # n = 0, or C_L or C_Omega is all of F_q^n
+        assume(not any(s in str(exc) for s in ("n = 0", "trivial", "identically zero")))
+        raise
+    places = evaluation_places(curve, G)
+    centre = {i: alpha for i, alpha in enumerate(curve.alphas, start=1)}
+    S = {place.x if place.kind == "ordinary" else centre[place.index]
+         for place in curve.rational_places() if place.kind != "infinity"}
+
+    def h_prime(c):
+        out = field.one()
+        for other in S - {c}:
+            out = out * (c - other)
+        return out
+
+    residues = [(field.element(m % field.p) * h_prime(centre[pl.index]).inverse()
+                 if pl.kind == "ramified" else h_prime(pl.x).inverse()).enc for pl in places]
+    E = Divisor(len(S) * m - m - 1 - G.coeff_inf, {i: -(b + 1) for i, b in G.coeffs})
+    mat = evaluation_matrix(curve, basis(curve, E).functions, places)
+    gen, _ = rref(field, field.tables().mul[mat, np.array(residues, dtype=mat.dtype)])
+    assert np.array_equal(gen, want.gen)
+    goppa = G.degree - (2 * curve.genus - 2)
+    assert len(places) - E.degree == goppa
+    assert want.designed_d == goppa if want.d_kind == GOPPA_OMEGA else want.designed_d > goppa
 
 
 def test_code_rejects_unsupported_divisors(curve_y3_x5x):

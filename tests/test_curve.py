@@ -1,16 +1,20 @@
+import itertools
 import json
 import os
 import subprocess
 import sys
+from math import gcd
 from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import kummercodes
-import kummercodes.curve as curve_mod
 from kummercodes import Polynomial, make_curve, make_field
-from kummercodes.curve import ConfigError, KummerCurve, load_curve, parse_curve_config
+from kummercodes.code import residue_code
+from kummercodes.curve import ConfigError, KummerCurve, Place, load_curve, parse_curve_config
 from kummercodes.poly import roots_in_field
 from kummercodes.rr import Divisor
 
@@ -64,6 +68,62 @@ def test_make_curve_rejects_bad_data(f25, f64, build):
 def test_rational_place_counts(fixture, count, request):
     curve = request.getfixturevalue(fixture)
     assert len(curve.rational_places()) == count
+    # each reference curve is maximal: N - q - 1 = 2g*sqrt(q) (Hasse-Weil)
+    q, g = curve.field.q, curve.genus
+    assert count > q + 1 and (count - q - 1) ** 2 == 4 * g * g * q
+
+
+def _places_by_power_table(c):
+    """The places as listed before the exponent route: a table of b**m over
+    F_q, looked up at f(a)**lam for every a with f(a) != 0."""
+    places = [Place("infinity")]
+    places += [Place("ramified", i) for i in range(1, len(roots_in_field(c.f)) + 1)]
+    power_of = {}
+    for b in c.field.elements():
+        power_of.setdefault((b ** c.m).enc, []).append(b)
+    for a in c.field.elements():
+        fa = c.f(a)
+        if not fa.is_zero():
+            places += [Place("ordinary", x=a, y=b) for b in power_of.get((fa ** c.lam).enc, ())]
+    return tuple(places)
+
+
+# q = 2, 4, 8, 16, 32, 64, 3, 9, 27, 5, 25, 7, 49, 11, 13
+PLACE_FIELDS = ((2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 1), (3, 2), (3, 3),
+                (5, 1), (5, 2), (7, 1), (7, 2), (11, 1), (13, 1))
+
+
+@st.composite
+def drawn_curves(draw):
+    """y^m = f(x)^lam for a random f of degree 2..6, any lam (normalized mod m)."""
+    field = make_field(*draw(st.sampled_from(PLACE_FIELDS)))
+    m = draw(st.sampled_from([m for m in range(2, 13) if m % field.p]))
+    lam = draw(st.integers(1, 2 * m))
+    coeffs = draw(st.lists(st.integers(0, field.q - 1), min_size=3, max_size=7))
+    assume(coeffs[-1])
+    try:
+        return make_curve(field, m, lam, Polynomial(field, coeffs))
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(drawn_curves())
+def test_place_count_oracle(c):
+    """N = 1 + #roots + d * #{a : f(a) != 0 and f(a)**lam is a d-th power},
+    d = gcd(m, q - 1): y -> y**m maps F_q^* d-to-1 onto the d-th powers.
+    Counted with element powers, apart from the exponent route, and held to
+    Hasse-Weil, (N - q - 1)**2 <= 4 g**2 q."""
+    q, one = c.field.q, c.field.one()
+    d = gcd(c.m, q - 1)
+    roots = roots_in_field(c.f)
+    values = [c.f(a) for a in c.field.elements() if a not in roots]
+    N = 1 + len(roots) + d * sum((v ** c.lam) ** ((q - 1) // d) == one for v in values)
+    places = c.rational_places()
+    assert len(places) == N
+    assert (N - q - 1) ** 2 <= 4 * c.genus ** 2 * q
+    assert places == _places_by_power_table(c)
+    assert c.alphas == tuple(sorted(roots, key=lambda a: a.enc))
 
 
 def test_place_ordering_and_kinds(curve_y3_x5x):
@@ -163,6 +223,9 @@ def test_config_missing_keys_and_bad_encodings():
 
     with pytest.raises(ConfigError, match="encodings"):
         curve_from_config({"p": 5, "e": 1, "m": 3, "lambda": 1, "f": [0, 9, 1]})
+    # an encoding equal to q is refused too, not reduced mod p to a coefficient
+    with pytest.raises(ConfigError, match=r"encodings \[5\] outside \[0, 5\)"):
+        curve_from_config({"p": 5, "e": 1, "m": 3, "lambda": 1, "f": [1, 5, 1]})
 
 
 def test_curve_hashable(curve_y3_x5x, f25):
@@ -183,12 +246,25 @@ def test_curve_hashable(curve_y3_x5x, f25):
     for obj, name in ((same, "lam"), (same, "genus"), (same, "x"), (f, "coeffs"), (f, "x")):
         with pytest.raises(AttributeError):
             setattr(obj, name, 1)
-    # the roots of f are scanned for only when alphas is first read, and once
-    with mock.patch.object(curve_mod, "roots_in_field", wraps=roots_in_field) as scan:
-        fresh = make_curve(f25, 3, 1, f)
-        assert scan.call_count == 0
-        assert fresh.alphas is fresh.alphas and scan.call_count == 1
-    assert fresh.alphas == curve_y3_x5x.alphas
+    # f is evaluated once per element of F_q, by whichever of alphas, the
+    # places and a code build comes first, and never while a curve is built
+    evaluations, evaluate = [], Polynomial.__call__
+
+    def counted(poly, a):
+        evaluations.append(a)
+        return evaluate(poly, a)
+
+    reads = (lambda c: c.alphas, lambda c: c.rational_places(),
+             lambda c: residue_code(c, Divisor(7, {1: 1})))
+    for order in itertools.permutations(reads):
+        evaluations.clear()
+        with mock.patch.object(Polynomial, "__call__", counted):
+            fresh = make_curve(f25, 3, 1, f)
+            assert evaluations == []
+            for read in order:
+                read(fresh)
+                assert len(evaluations) == f25.q
+        assert fresh.alphas is fresh.alphas and fresh.alphas == curve_y3_x5x.alphas
 
 
 def test_theory_path_does_not_import_numpy(tmp_path):
