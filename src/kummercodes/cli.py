@@ -8,8 +8,8 @@ place label of --G by KummerCurve.place, next to the code that prints them.
 
 Exit codes: 0 success; 2 bad curve configuration, or a curve, output or
 matrix file that cannot be read or written; 3 precondition violation;
-4 closed-form/oracle disagreement (must never happen); 5 a bundled reference
-check failed.
+4 closed-form/oracle disagreement or a failed internal check (must never
+happen); 5 a bundled reference check failed.
 """
 
 from __future__ import annotations
@@ -350,8 +350,10 @@ def main(argv=None) -> int:
         return _fail(EXIT_CONFIG, str(exc))
     except OSError as exc:  # a file named on the command line
         return _fail(EXIT_CONFIG, str(exc))
-    except (ValueError, AssertionError) as exc:
+    except ValueError as exc:
         return _fail(EXIT_PRECONDITION, str(exc))
+    except rr.InternalCheckError as exc:
+        return _fail(EXIT_MISMATCH, f"internal check failed: {exc}")
 
 
 if __name__ == "__main__":

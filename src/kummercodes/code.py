@@ -42,6 +42,10 @@ GOPPA_OMEGA = "goppa_omega"
 HOMMA_KIM = "homma_kim"
 
 
+class ZeroMapError(ValueError):
+    """L(G) vanishes at every evaluation place: the evaluation code is zero."""
+
+
 @dataclass(frozen=True)
 class LinearCode:
     """[n, k] code over F_q with a canonical (RREF) generator matrix."""
@@ -155,7 +159,8 @@ def field_matmul(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     t = field.tables()
     r, s = a.shape
     s2, c = b.shape
-    assert s == s2
+    if s != s2:
+        raise rr.InternalCheckError(f"inner dimensions {s} and {s2} differ")
     out = np.zeros((r, c), dtype=t.add.dtype)
     for kk in range(s):
         out = t.add[out, t.mul[a[:, kk][:, None], b[kk, :][None, :]]]
@@ -203,8 +208,8 @@ def evaluation_matrix(curve: "KummerCurve", fns: Sequence[rr.BasisFunction],
             raw[:, col] = [fn.valuation(curve, place) == 0 for fn in fns]
         else:
             finite.append(col)
-            points.append((place.x.enc, place.y.enc) if place.kind == "ordinary"
-                          else (curve.alphas[place.index - 1].enc, 0))
+            points.append((place.x, place.y) if place.kind == "ordinary"
+                          else (curve.alphas[place.index - 1], 0))
     xs, ys = np.array(points, dtype=t.add.dtype).reshape(-1, 2).T
     log_x, log_y, log_f = t.log[xs], t.log[ys], np.asarray(curve.log_f)[xs]
     start = 0
@@ -212,7 +217,7 @@ def evaluation_matrix(curve: "KummerCurve", fns: Sequence[rr.BasisFunction],
         js = np.array([fn.x_pow for fn in stratum], dtype=np.int64)
         base = y_pow * log_y - f_pow * log_f
         for i, e in denom:  # e is unbounded, so reduce it to keep base in int64
-            base -= e % (field.q - 1) * t.log[t.add[xs, t.neg[curve.alphas[i - 1].enc]]]
+            base -= e % (field.q - 1) * t.log[t.add[xs, t.neg[curve.alphas[i - 1]]]]
         block = t.exp[(js[:, None] * log_x + base) % (field.q - 1)]
         block[(js[:, None] > 0) & (xs == 0) | (y_pow > 0) & (ys == 0)] = 0
         raw[start:start + len(js), finite] = block
@@ -220,16 +225,18 @@ def evaluation_matrix(curve: "KummerCurve", fns: Sequence[rr.BasisFunction],
     return raw
 
 
-def evaluation_code(curve: "KummerCurve", G: rr.Divisor) -> LinearCode:
-    """The code {(h(P_1), ..., h(P_n)) : h in L(G)} over F_q.
+def evaluation_code(curve: "KummerCurve", G: rr.Divisor, places=None) -> LinearCode:
+    """The code {(h(P_1), ..., h(P_n)) : h in L(G)} over F_q, at the places
+    evaluation_places(curve, G), which a caller that has them passes in.
 
     Rows are the evaluations of the monomial basis of L(G), reduced to
     canonical RREF; k is the resulting rank (equal to l(G) whenever
-    deg G < n).  Designed distance: n - deg G.  From deg G >= n + 2g - 1
-    on, l(G - D) = deg G - n + 1 - g, so k = l(G) - l(G - D) = n and the
-    code is all of F_q^n: its RREF is the identity, built without a basis.
+    deg G < n), and k = 0 raises ZeroMapError.  Designed distance:
+    n - deg G.  From deg G >= n + 2g - 1 on, l(G - D) = deg G - n + 1 - g,
+    so k = l(G) - l(G - D) = n and the code is all of F_q^n: its RREF is
+    the identity, built without a basis.
     """
-    places = evaluation_places(curve, G)
+    places = evaluation_places(curve, G) if places is None else places
     n = len(places)
     if G.degree >= n + 2 * curve.genus - 1:
         # tables() also refuses q > MAX_TABLE_Q before an n x n array is allocated
@@ -240,7 +247,7 @@ def evaluation_code(curve: "KummerCurve", G: rr.Divisor) -> LinearCode:
         raise ValueError("L(G) is trivial; the code would be empty")
     gen, _ = rref(curve.field, evaluation_matrix(curve, fns, places))
     if len(gen) == 0:
-        raise ValueError("evaluation map is identically zero")
+        raise ZeroMapError("evaluation map is identically zero")
     return LinearCode(field=curve.field, gen=gen, designed_d=n - G.degree, d_kind=GOPPA_L)
 
 
@@ -251,18 +258,22 @@ def residue_code(curve: "KummerCurve", G: rr.Divisor) -> LinearCode:
     PureGapBox.bound when G = a*P_inf + b*P_i with a >= 1 has a pure-gap
     box (twopoint.box_for_divisor).  A trivial dual raises ValueError: all
     of F_q^n when l(G) = 0, which needs deg G < g as l(G) >= deg G + 1 - g,
-    and zero from deg G >= n + 2g - 1 on, refused before anything is built.
+    and zero from deg G >= n + 2g - 1 on, both refused before anything is
+    built; all of F_q^n again when L(G) vanishes at every place of the code.
     """
-    n = len(evaluation_places(curve, G))
+    places = evaluation_places(curve, G)
+    n = len(places)
     if G.degree < curve.genus and rr.dim(curve, G) == 0:
         raise ValueError(f"the residue code is trivial: l(G) = 0, so it is all of "
                          f"F_q^{n} (k = {n})")
-    primal = None if G.degree >= n + 2 * curve.genus - 1 else evaluation_code(curve, G)
+    try:
+        primal = None if G.degree >= n + 2 * curve.genus - 1 else evaluation_code(curve, G, places)
+    except ZeroMapError:
+        raise ValueError(f"the residue code is trivial: L(G) vanishes at every place, "
+                         f"so it is all of F_q^{n} (k = {n})") from None
     if primal is None or primal.k == n:
-        raise ValueError(
-            f"the residue code is trivial: the evaluation code for G is all "
-            f"of F_q^{n} (k = 0)"
-        )
+        raise ValueError(f"the residue code is trivial: the evaluation code for G is all "
+                         f"of F_q^{n} (k = 0)")
     gen = nullspace(curve.field, primal.gen)
     box = None
     supp = G.support_indices
@@ -362,5 +373,6 @@ def shorten(code: LinearCode, s: int) -> LinearCode:
     keep = [col for col in range(code.n) if col not in dropped]
     red = red[s:, ::-1][:, keep]  # frees the full rref before the second one
     gen, _ = rref(field, red)
-    assert gen.shape[0] == code.k - s
+    if gen.shape[0] != code.k - s:
+        raise rr.InternalCheckError(f"shortened rank {gen.shape[0]}, want k - s = {code.k - s}")
     return replace(code, gen=gen)

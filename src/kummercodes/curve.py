@@ -1,10 +1,10 @@
 """The Kummer extension y**m = f(x)**lambda over F_q.
 
 Validates the defining data, computes the genus and enumerates the
-degree-one places, off one scan of F_q that evaluates f once per x: the
-distinguished totally ramified ones, P_inf and P_i centred on the root
-``alphas[i - 1]`` of f, plus the ordinary affine points.  Valuations and
-Riemann-Roch spaces on the distinguished places are :mod:`.rr`'s.
+degree-one places off one scan of F_q, f evaluated once per x: P_inf, P_i
+centred on the root ``alphas[i - 1]`` of f, and the ordinary points (x, y),
+all as ints, the field encodings (``field.element`` reads them).  Valuations
+and Riemann-Roch spaces on the distinguished places are :mod:`.rr`'s.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from functools import cached_property
 from math import gcd as int_gcd
 from pathlib import Path
 
-from .gf import Field, FieldElement, make_field
+from .gf import Field, make_field
 from .poly import Polynomial, is_separable
 
 
@@ -30,19 +30,19 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class Place:
     """A degree-one place: P_inf, a ramified P_i (centred on the curve's
-    alphas[i - 1]), or an ordinary point (x, y)."""
+    alphas[i - 1]), or an ordinary point (x, y), given by the encodings."""
 
     kind: str  # "infinity" | "ramified" | "ordinary"
     index: int = 0
-    x: FieldElement | None = None
-    y: FieldElement | None = None
+    x: int | None = None
+    y: int | None = None
 
     def label(self) -> str:
         if self.kind == "infinity":
             return "P_inf"
         if self.kind == "ramified":
             return f"P_{self.index}"
-        return f"P({self.x.enc},{self.y.enc})"
+        return f"P({self.x},{self.y})"
 
 
 @dataclass(frozen=True)
@@ -92,9 +92,9 @@ class KummerCurve:
         return tuple(self.field._log[self.f(a).enc] for a in self.field.elements())
 
     @cached_property
-    def alphas(self) -> tuple[FieldElement, ...]:
-        """The roots of f in F_q in encoding order: P_i is centred on alphas[i - 1]."""
-        return tuple(FieldElement(self.field, x) for x, v in enumerate(self.log_f) if v < 0)
+    def alphas(self) -> tuple[int, ...]:
+        """The roots of f in F_q as ascending encodings: P_i is centred on alphas[i - 1]."""
+        return tuple(x for x, v in enumerate(self.log_f) if v < 0)
 
     def __repr__(self):
         return (f"KummerCurve(q={self.field.q}, m={self.m}, lam={self.lam}, "
@@ -136,7 +136,7 @@ class KummerCurve:
         for x, v in enumerate(self.log_f):
             if v >= 0 and self.lam * v % d == 0:
                 u = self.lam * v // d * inverse % step
-                places += [Place("ordinary", x=FieldElement(field, x), y=FieldElement(field, y))
+                places += [Place("ordinary", x=x, y=y)
                            for y in sorted(field._exp[u + k * step] for k in range(d))]
         object.__setattr__(self, "_places", tuple(places))
         return self._places

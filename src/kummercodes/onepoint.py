@@ -14,8 +14,10 @@ of the residue criterion is cleared of denominators before comparing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
+
+from .rr import InternalCheckError
 
 if TYPE_CHECKING:  # pragma: no cover - imports for annotations only
     from .curve import KummerCurve, Place
@@ -39,7 +41,6 @@ class NumericalSemigroup:
     frobenius: int = field(init=False, compare=False)
     conductor: int = field(init=False, compare=False)
     _gap_set: frozenset[int] = field(init=False, compare=False)
-    _generators: tuple[int, ...] | None = field(init=False, compare=False, default=None)
 
     def __post_init__(self):
         gap_list = sorted(set(int(s) for s in self.gaps))
@@ -54,16 +55,13 @@ class NumericalSemigroup:
     def __contains__(self, n: int) -> bool:
         return n >= 0 and n not in self._gap_set
 
-    @property
+    @cached_property
     def generators(self) -> tuple[int, ...]:
         """Minimal generators: members not expressible as a sum of two
         smaller positive members (all of them lie below conductor + least
         positive member).  Such a sum is a smaller generator plus a positive
         member, so one bit-set shift per generator marks all of them."""
-        if self._generators is not None:
-            return self._generators
         if self.genus == 0:
-            object.__setattr__(self, "_generators", (1,))
             return (1,)
         least = next(n for n in range(1, self.conductor + 1) if n in self)
         top = self.conductor + least
@@ -75,9 +73,7 @@ class NumericalSemigroup:
                 gens.append(n)
                 if n < self.conductor:  # larger ones only reach top and past
                     sums |= positive << n
-        out = tuple(gens)
-        object.__setattr__(self, "_generators", out)
-        return out
+        return tuple(gens)
 
     def __repr__(self):
         gens = ",".join(str(g) for g in self.generators)
@@ -133,7 +129,8 @@ def gap_pairs(m: int, r: int) -> tuple[tuple[int, int], ...]:
         raise ValueError(f"genus {genus} exceeds onepoint.MAX_GENUS = {MAX_GENUS}")
     pairs = tuple(sorted((m * r - m * j - r * i, i + m * (j - 1))
                          for i in range(1, m - m // r) for j in range(1, r - (r * i) // m)))
-    assert len(pairs) == genus, "pair count must equal the genus"
+    if len(pairs) != genus:
+        raise InternalCheckError(f"{len(pairs)} gap pairs, want the genus {genus}")
     return pairs
 
 
@@ -151,11 +148,12 @@ def semigroup_at(curve: "KummerCurve", place: "Place") -> NumericalSemigroup:
 
     P_inf carries <m, r>; a place over a root of f carries the complement of
     the gaps i + m*(j - 1) of gap_pairs.  Either way the gap count must
-    equal the genus, which is asserted.
+    equal the genus, which is checked.
     """
     _require_ramified(place, allow_infinity=True)
     sem = semigroups(curve.m, curve.r)[place.kind != "infinity"]
-    assert sem.genus == curve.genus, "gap count must equal the curve genus"
+    if sem.genus != curve.genus:
+        raise InternalCheckError(f"{sem.genus} gaps, want the curve genus {curve.genus}")
     return sem
 
 

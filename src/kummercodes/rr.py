@@ -26,6 +26,11 @@ if TYPE_CHECKING:  # pragma: no cover - imports for annotations only
 MAX_BASIS = 2 ** 16
 
 
+class InternalCheckError(RuntimeError):
+    """A library invariant failed: a bug, never a bad input.  Raised by a
+    plain check, so that ``python -O`` keeps it."""
+
+
 @dataclass(frozen=True)
 class Divisor:
     """Integer combination of the places P_1..P_r and P_inf.
@@ -161,12 +166,6 @@ class BasisFunction:
     denom: tuple[tuple[int, int], ...]
     f_pow: int
 
-    def denom_exp(self, index: int) -> int:
-        for i, e in self.denom:
-            if i == index:
-                return e
-        return 0
-
     def valuation(self, curve: "KummerCurve", place: "Place") -> int:
         """Exact valuation at a distinguished place, from the standard
         divisors of x - alpha_i, y and f."""
@@ -178,46 +177,41 @@ class BasisFunction:
             return v
         if place.kind != "ramified":
             raise ValueError("valuation tracked at distinguished places only")
-        alpha = curve.alphas[place.index - 1]
-        x_hits = self.x_pow if alpha.is_zero() else 0
-        return self.y_pow * lam + m * (x_hits - self.denom_exp(place.index) - self.f_pow)
+        x_hits = self.x_pow if curve.alphas[place.index - 1] == 0 else 0
+        return self.y_pow * lam + m * (x_hits - dict(self.denom).get(place.index, 0) - self.f_pow)
 
     def evaluate(self, curve: "KummerCurve", place: "Place") -> "FieldElement":
-        """Value at a place outside the pole support.
+        """Value at a place outside the pole support, as a field element: the
+        reference route, reading the encodings through ``field.element``.
 
-        At ordinary places this is plain substitution.  At a ramified place
-        the y-zeros cancel exactly against the denominator poles: a positive
-        valuation gives 0, valuation zero forces y_pow == 0 and the value is
-        read off after cancelling the (x - alpha) factors.
+        At ordinary places this is plain substitution.  Elsewhere the y-zeros
+        cancel exactly against the denominator poles: a positive valuation
+        gives 0, and valuation zero gives 1 at P_inf (every factor is monic
+        in x) and at P_i forces y_pow == 0, the value read off after
+        cancelling the (x - alpha) factors.
         """
         field = curve.field
+        alphas = [field.element(a) for a in curve.alphas]
         if place.kind == "ordinary":
-            val = place.x ** self.x_pow * place.y ** self.y_pow
+            x = field.element(place.x)
+            val = x ** self.x_pow * field.element(place.y) ** self.y_pow
             for i, e in self.denom:
-                val = val * (place.x - curve.alphas[i - 1]) ** (-e)
-            if self.f_pow:
-                val = val * curve.f(place.x) ** (-self.f_pow)
-            return val
-        if place.kind == "infinity":
-            v = self.valuation(curve, place)
-            if v < 0:
-                raise ValueError("function has a pole at the evaluation place")
-            if v > 0:
-                return field.zero()
-            # all factors are monic in x, so the leading coefficients cancel
-            return field.one()
-        # ramified place
+                val = val * (x - alphas[i - 1]) ** (-e)
+            return val * curve.f(x) ** (-self.f_pow)  # f(x) != 0 off the P_i
         v = self.valuation(curve, place)
         if v < 0:
             raise ValueError("function has a pole at the evaluation place")
         if v > 0:
             return field.zero()
-        assert self.y_pow == 0, "valuation 0 with a y factor is impossible"
-        alpha = curve.alphas[place.index - 1]
+        if place.kind == "infinity":
+            return field.one()
+        if self.y_pow:
+            raise InternalCheckError("valuation 0 with a y factor is impossible")
+        alpha = alphas[place.index - 1]
         val = field.one() if alpha.is_zero() else alpha ** self.x_pow
         for i, e in self.denom:
             if i != place.index:
-                val = val * (alpha - curve.alphas[i - 1]) ** (-e)
+                val = val * (alpha - alphas[i - 1]) ** (-e)
         if self.f_pow:
             # f = (x - alpha) * h with h(alpha) = f'(alpha), over any field
             val = val * curve.f.derivative()(alpha) ** (-self.f_pow)

@@ -20,6 +20,7 @@ from math import isqrt
 from typing import TYPE_CHECKING
 
 from .onepoint import gap_pairs
+from .rr import InternalCheckError
 
 if TYPE_CHECKING:  # pragma: no cover - imports for annotations only
     from .curve import KummerCurve
@@ -145,7 +146,8 @@ def known_pure_gap(q: int, l: int) -> tuple[int, int]:
     if not _is_prime_power(q):
         raise ValueError(f"q must be a prime power > 3, got {q}")
     a = q ** (l + 1) - 2 * q ** l - 2
-    assert floor_pure_gap(q ** l + 1, q, a, 1)
+    if not floor_pure_gap(q ** l + 1, q, a, 1):
+        raise InternalCheckError(f"({a}, 1) fails the floor criterion")
     return (a, 1)
 
 

@@ -361,6 +361,26 @@ def test_console_entry_point(cfg_dir):
     assert json.loads(result.stdout)["generators"] == [3, 5]
 
 
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_broken_invariant_exits_4(cfg_dir, flags):
+    # a library invariant is checked by a plain raise, which -O keeps, and
+    # reported as a failed internal check, not as a user error
+    body = ("import sys\n"
+            "from kummercodes import cli, onepoint\n"
+            "wrong = onepoint.NumericalSemigroup((1,))  # genus 1 on a genus-4 curve\n"
+            "onepoint.semigroups = lambda m, r: (wrong, wrong)\n"
+            "print(__debug__)\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+    src = str(Path(kummercodes.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, *flags, "-c", body, "semigroup", "--curve", str(cfg_dir / "f25_y3.cfg")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.stdout == f"{not flags}\n"
+    assert result.returncode == EXIT_MISMATCH
+    assert result.stderr == "error[4]: internal check failed: 1 gaps, want the curve genus 4\n"
+
+
 def test_output_file(capsys, cfg_dir, tmp_path):
     out_path = tmp_path / "report.json"
     code, out, _ = run_cli(

@@ -26,7 +26,7 @@ from kummercodes.code import (
     shorten,
     _prefix_words,
 )
-from kummercodes.rr import Divisor, basis, dim
+from kummercodes.rr import Divisor, InternalCheckError, basis, dim
 
 
 def test_rref_and_nullspace_small():
@@ -88,8 +88,10 @@ def test_duality(curve_y3_x5x):
 def test_trivial_divisor_codes(curve_y3_x5x):
     code = evaluation_code(curve_y3_x5x, Divisor())
     assert (code.n, code.k) == (66, 1)  # constants at every rational place
-    dual = residue_code(curve_y3_x5x, Divisor())
-    assert dual.k == 65
+    # residue_code reads its evaluation places once, for its primal build too
+    with mock.patch("kummercodes.code.evaluation_places", wraps=evaluation_places) as spy:
+        dual = residue_code(curve_y3_x5x, Divisor())
+    assert dual.k == 65 and spy.call_count == 1
     # l(G) = 0 leaves C_Omega all of F_q^n: refused as trivial, of negative
     # degree and of degree 1 < g
     for G in (Divisor(2, {1: -9}), Divisor(2, {1: -1})):
@@ -108,6 +110,12 @@ def test_trivial_divisor_codes(curve_y3_x5x):
                 build(c2, Divisor(1, {1: 1, 2: 1}))
     with pytest.raises(ValueError, match="evaluation map is identically zero"):
         evaluation_code(c2, Divisor(-4, {2: 5}))
+    # ... so that C_Omega is all of F_2^1, which residue_code refuses itself
+    with mock.patch("kummercodes.code.evaluation_places", wraps=evaluation_places) as spy:
+        with pytest.raises(ValueError, match=r"trivial: L\(G\) vanishes at every place, "
+                                             r"so it is all of F_q\^1 \(k = 1\)"):
+            residue_code(c2, Divisor(-4, {2: 5}))
+    assert spy.call_count == 1
 
 
 def test_residue_code_reference_f64(curve_y9_quartic):
@@ -301,6 +309,19 @@ def test_shorten(curve_y9_quartic, curve_y3_x5x):
     assert d == 62  # regression value from the first verified run
 
 
+def test_code_layer_checks_raise(curve_y3_x5x):
+    # broken invariants raise InternalCheckError, which python -O keeps
+    field = curve_y3_x5x.field
+    with pytest.raises(InternalCheckError, match="inner dimensions 2 and 3 differ"):
+        field_matmul(field, np.zeros((1, 2), np.uint8), np.zeros((3, 1), np.uint8))
+    code = evaluation_code(curve_y3_x5x, Divisor.at_infinity(5))
+    assert code.k == 3
+    first = rref(field, code.gen[:, ::-1])
+    with mock.patch("kummercodes.code.rref", side_effect=[first, (code.gen[:0], [])]):
+        with pytest.raises(InternalCheckError, match=r"shortened rank 0, want k - s = 1"):
+            shorten(code, 2)
+
+
 @pytest.mark.parametrize("q,dtype", [(25, np.uint8), (1024, np.uint16)])
 def test_codes_keep_the_table_dtype(q, dtype, curve_y3_x5x):
     # a stray int64 upcast anywhere on the way would show here
@@ -372,7 +393,8 @@ def test_codes_are_the_lambda_one_codes_under_the_place_map(p, e, m, lam, f):
     def key(place, a=1, b=0):
         if place.kind != "ordinary":
             return place.kind, place.index
-        return place.kind, place.x.enc, (place.y ** a * poly(place.x) ** -b).enc
+        x, y = field.element(place.x), field.element(place.y)
+        return place.kind, place.x, (y ** a * poly(x) ** -b).enc
 
     g = curve.genus
     for G in (Divisor.at_infinity(3), Divisor(5, {1: 2}), Divisor.at_infinity(2 * g + 1),
@@ -429,8 +451,8 @@ def test_residue_code_by_the_residue_theorem(case):
         assume(not any(s in str(exc) for s in ("n = 0", "trivial", "identically zero")))
         raise
     places = evaluation_places(curve, G)
-    centre = {i: alpha for i, alpha in enumerate(curve.alphas, start=1)}
-    S = {place.x if place.kind == "ordinary" else centre[place.index]
+    centre = {i: field.element(alpha) for i, alpha in enumerate(curve.alphas, start=1)}
+    S = {field.element(place.x) if place.kind == "ordinary" else centre[place.index]
          for place in curve.rational_places() if place.kind != "infinity"}
 
     def h_prime(c):
@@ -440,7 +462,8 @@ def test_residue_code_by_the_residue_theorem(case):
         return out
 
     residues = [(field.element(m % field.p) * h_prime(centre[pl.index]).inverse()
-                 if pl.kind == "ramified" else h_prime(pl.x).inverse()).enc for pl in places]
+                 if pl.kind == "ramified" else h_prime(field.element(pl.x)).inverse()).enc
+                 for pl in places]
     E = Divisor(len(S) * m - m - 1 - G.coeff_inf, {i: -(b + 1) for i, b in G.coeffs})
     mat = evaluation_matrix(curve, basis(curve, E).functions, places)
     gen, _ = rref(field, field.tables().mul[mat, np.array(residues, dtype=mat.dtype)])
@@ -527,13 +550,13 @@ def test_evaluation_matrix_matches_evaluate(p, e, m, lam, f):
     if f[0]:
         # ordinary places over x = 0, and both roots of f are named
         assert len(curve.alphas) == 2
-        assert any(pl.kind == "ordinary" and pl.x.is_zero() for pl in curve.rational_places())
+        assert any(pl.kind == "ordinary" and pl.x == 0 for pl in curve.rational_places())
         divisors = (Divisor(4, {1: 2}), Divisor(6, {1: -1, 2: 3}), Divisor(2, {1: 5}),
                     Divisor(0, {1: 7}), Divisor(10 ** 22 + 6, {1: -10 ** 22, 2: 3}))
     else:
         # all three roots are named and P_1 is centred at 0; G leaves P_inf
         # and P_1 among the columns
-        assert len(curve.alphas) == 3 and curve.alphas[0].is_zero()
+        assert len(curve.alphas) == 3 and curve.alphas[0] == 0
         divisors = (Divisor(0, {2: 5}), Divisor(0, {2: -1, 3: 9}), Divisor(0, {3: 7}),
                     Divisor(0, {2: 10 ** 22 + 6, 3: -10 ** 22}))
     for G in divisors:

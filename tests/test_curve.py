@@ -24,7 +24,7 @@ def test_reference_curve_parameters(curve_y3_x5x, curve_y9_quartic, curve_y6_x5x
     assert (curve_y9_quartic.r, curve_y9_quartic.genus) == (4, 12)
     assert (curve_y6_x5x.r, curve_y6_x5x.genus) == (5, 10)
     assert len(curve_y3_x5x.alphas) == 5
-    assert [a.enc for a in curve_y9_quartic.alphas][0] == 0
+    assert curve_y9_quartic.alphas[0] == 0
 
 
 def test_lambda_normalized(f25):
@@ -84,7 +84,8 @@ def _places_by_power_table(c):
     for a in c.field.elements():
         fa = c.f(a)
         if not fa.is_zero():
-            places += [Place("ordinary", x=a, y=b) for b in power_of.get((fa ** c.lam).enc, ())]
+            places += [Place("ordinary", x=a.enc, y=b.enc)
+                       for b in power_of.get((fa ** c.lam).enc, ())]
     return tuple(places)
 
 
@@ -123,7 +124,7 @@ def test_place_count_oracle(c):
     assert len(places) == N
     assert (N - q - 1) ** 2 <= 4 * c.genus ** 2 * q
     assert places == _places_by_power_table(c)
-    assert c.alphas == tuple(sorted(roots, key=lambda a: a.enc))
+    assert c.alphas == tuple(sorted(a.enc for a in roots))
 
 
 def test_place_ordering_and_kinds(curve_y3_x5x):
@@ -131,11 +132,14 @@ def test_place_ordering_and_kinds(curve_y3_x5x):
     assert places[0].kind == "infinity"
     ram = [p for p in places if p.kind == "ramified"]
     assert [p.index for p in ram] == [1, 2, 3, 4, 5]
-    centres = [curve_y3_x5x.alphas[p.index - 1].enc for p in ram]
+    centres = [curve_y3_x5x.alphas[p.index - 1] for p in ram]
     assert centres == sorted(centres)
     ordinary = [p for p in places if p.kind == "ordinary"]
-    keys = [(p.x.enc, p.y.enc) for p in ordinary]
+    keys = [(p.x, p.y) for p in ordinary]
     assert keys == sorted(keys)
+    # roots and points are the field's encodings, not elements
+    assert {type(v) for v in curve_y3_x5x.alphas} == {int}
+    assert {type(v) for p in ordinary for v in (p.x, p.y)} == {int}
     # construction is cached and deterministic
     assert curve_y3_x5x.rational_places() is places
 
@@ -144,8 +148,9 @@ def test_ordinary_places_satisfy_equation(curve_y6_x5x):
     c = curve_y6_x5x
     for p in c.rational_places():
         if p.kind == "ordinary":
-            assert p.y ** c.m == c.f(p.x) ** c.lam
-            assert not c.f(p.x).is_zero()
+            x, y = c.field.element(p.x), c.field.element(p.y)
+            assert y ** c.m == c.f(x) ** c.lam
+            assert not c.f(x).is_zero()
 
 
 def test_place_census_against_root_scan(curve_y3_x5x):
@@ -161,7 +166,7 @@ def test_place_census_against_root_scan(curve_y3_x5x):
 
 def test_ramified_place_accessors(curve_y3_x5x):
     p1 = curve_y3_x5x.ramified_place(1)
-    assert p1.kind == "ramified" and curve_y3_x5x.alphas[p1.index - 1].enc == 0
+    assert p1.kind == "ramified" and curve_y3_x5x.alphas[p1.index - 1] == 0
     with pytest.raises(ValueError):
         curve_y3_x5x.ramified_place(6)
     assert curve_y3_x5x.place_infinity().label() == "P_inf"

@@ -122,3 +122,20 @@ def test_only_code_subcommands_load_numpy(run_fresh, argv, builds_codes):
 def test_theory_imports_no_field_code(name):
     # the theory is written as functions of the integers it depends on
     assert not _package_imports(name) & {"gf", "poly", "curve"}
+
+
+@pytest.mark.parametrize("name", ("curve", "code"))
+def test_points_are_encodings(name):
+    # the curve hands out its roots and points as the field's encodings and
+    # the code layer gathers on them; only rr's reference evaluator and the
+    # tests read them as elements
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.split(".")[-1] for alias in node.names)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert "FieldElement" not in names

@@ -1,6 +1,8 @@
 import time
+from dataclasses import FrozenInstanceError
 from math import gcd
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 
@@ -26,11 +28,15 @@ def test_semigroup_from_generators_basics(from_generators):
     # the gaps define equality: unsorted, repeated gaps and a filled
     # generator cache change neither equality nor hash
     fresh = NumericalSemigroup((1, 1))
-    assert fresh._generators is None and fresh == s and hash(fresh) == hash(s)
+    assert "generators" not in vars(fresh) and fresh == s and hash(fresh) == hash(s)
+    assert "generators" in vars(s) and s.generators is s.generators
     assert NumericalSemigroup((3, 1)) == NumericalSemigroup([1, 3]) != s
     for name in ("genus", "x"):
         with pytest.raises(AttributeError):
             setattr(s, name, 2)
+    for sem in (s, fresh):  # the cached generators are read-only, filled or not
+        with pytest.raises(FrozenInstanceError):
+            sem.generators = (2,)
     assert repr(s) == "NumericalSemigroup(<2,3>, genus=1)"
     with pytest.raises(ValueError, match="positive"):
         NumericalSemigroup((0, 1))
@@ -259,3 +265,10 @@ def test_walk_capped_by_genus(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == EXIT_PRECONDITION and "genus 65537" in err and "MAX_GENUS" in err
         assert elapsed < 0.5
+
+
+def test_gap_pair_count_is_checked():
+    # a walk that lost its pairs is caught by a raise, which python -O keeps
+    with mock.patch.object(onepoint, "sorted", create=True, return_value=[]):
+        with pytest.raises(rr.InternalCheckError, match="0 gap pairs, want the genus 4"):
+            onepoint.gap_pairs.__wrapped__(3, 5)

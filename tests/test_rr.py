@@ -296,7 +296,7 @@ def test_evaluate_ramified_f_power():
     ]
     for c in curves:
         assert c.alphas
-        for i, alpha in enumerate(c.alphas, start=1):
+        for i, alpha in enumerate(map(c.field.element, c.alphas), start=1):
             h, rem = divmod(c.f, Polynomial(c.field, [-alpha, c.field.one()]))
             assert rem.is_zero()
             for s in (1, 2, 3):
@@ -304,6 +304,17 @@ def test_evaluate_ramified_f_power():
                     fn = BasisFunction(y_pow=0, x_pow=j, denom=((i, -s),), f_pow=s)
                     value = fn.evaluate(c, c.ramified_place(i))
                     assert value == alpha ** j * h(alpha) ** (-s), (c, i, s, j)
+
+
+def test_evaluate_checks_the_y_cancellation(curve_y3_x5x):
+    # y**m / (x - alpha_1) = f / (x - alpha_1) has valuation 0 at P_1 with a y
+    # factor, which no function of rr.basis has (y_pow < m there): a raise,
+    # which python -O keeps
+    fn = BasisFunction(y_pow=3, x_pow=0, denom=((1, 1),), f_pow=0)
+    place = curve_y3_x5x.ramified_place(1)
+    assert fn.valuation(curve_y3_x5x, place) == 0
+    with pytest.raises(rr.InternalCheckError, match="valuation 0 with a y factor"):
+        fn.evaluate(curve_y3_x5x, place)
 
 
 def test_divisor_parse_forms(curve_y3_x5x):

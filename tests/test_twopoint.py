@@ -121,6 +121,10 @@ def test_known_pure_gap_family():
             known_pure_gap(q, 1)
     with pytest.raises(ValueError):
         known_pure_gap(5, 0)
+    # the pair is re-checked by a raise, which python -O keeps
+    with mock.patch.object(twopoint, "floor_pure_gap", return_value=False):
+        with pytest.raises(rr.InternalCheckError, match=r"\(13, 1\) fails the floor criterion"):
+            known_pure_gap(5, 1)
 
 
 def test_known_pure_gap_check_capped():

@@ -1,7 +1,8 @@
 """Byte-identity check of the CLI against recorded digests.
 
-    python tools/sweep.py            compare every record with tests/golden_outputs.json
-    python tools/sweep.py --write    record them anew (only with a named output change)
+    python tools/sweep.py                  compare every record with tests/golden_outputs.json
+    python tools/sweep.py --write          record them anew (only with a named output change)
+    python tools/sweep.py --python PATH    compare the records of another interpreter
 
 Each record runs one argv in this process through `kummercodes.cli.main`
 and keeps its exit code, the sha256 of its stdout, its stderr text and the
@@ -12,7 +13,9 @@ benchmark curves, lambda != 1 and non-split f, the F_2 curve with n <= 3,
 every subcommand and option, the cap exits, bad configs and the --help
 texts.  argparse's help and usage texts follow the Python version; the
 digests were recorded on Python 3.11, and the tier-1 test leaves those
-records out (`argparse_text`).
+records out (`argparse_text`), as does --python.  --python runs the sweep
+under the interpreter at PATH, every record when it has numpy, else the
+ones that run without it (`numpy_free`).
 """
 
 from __future__ import annotations
@@ -20,10 +23,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
 import shlex
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -68,6 +73,10 @@ BAD_CONFIGS = {
     "g465": "p = 37\ne = 1\nm = 31\nlambda = 1\nf = 0,4,18,18,29,28,31,36,26,9,5,25,34,22,19,"
             "17,27,9,28,2,24,14,9,35,17,34,14,25,32,23,29,22,1\n",  # x(x-1)...(x-31)
     "f8192": "p = 2\ne = 13\nm = 3\nlambda = 1\nf = 0,1,1\n",
+}
+# curves of one record each
+LONE_CONFIGS = {
+    "f8_y7": "p = 2\ne = 3\nm = 7\nlambda = 1\nf = 0,1,1\n",  # y^7 = x^2 + x: 3 places
 }
 FORMATS = ("json", "text", "csv")
 PLACES = ("inf", "Pinf", "1", "P_1", "2", "3", "0", "9", "x")
@@ -133,12 +142,19 @@ def argvs() -> list[list[str]]:
             ["code", "--curve", f25, "--G", "5P_inf + +"],
             ["code", "--curve", f25, "--G", "xP_inf"],
             ["code", "--curve", f25, "--G", "5P_z"],
-            ["code", "--curve", f25, "--G", "-5P_inf"]]
+            ["code", "--curve", f25, "--G", "-5P_inf"],
+            # n = 1, and L(G) = <y> vanishes at P_1: C_Omega is all of F_8^1
+            ["code", "--curve", "{dir}/f8_y7.cfg", "--omega", "--G", "2P_inf + -1P_2"]]
     return out
 
 
+def numpy_free(argv: list[str]) -> bool:
+    """Whether argv runs without numpy: the theory subcommands and the check list."""
+    return argv[:1] in (["semigroup"], ["twopoint"]) or argv == ["verify-paper", "--list"]
+
+
 def write_configs(directory: Path) -> None:
-    texts = dict(BAD_CONFIGS)
+    texts = {**BAD_CONFIGS, **LONE_CONFIGS}
     for token, spec in CURVES.items():
         if spec is None:
             texts[token] = cli.REFERENCE_CONFIGS[token]
@@ -196,16 +212,32 @@ def load_golden() -> dict[str, list]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--write", action="store_true",
-                        help=f"rewrite {GOLDEN.relative_to(ROOT)} from this checkout")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--write", action="store_true",
+                      help=f"rewrite {GOLDEN.relative_to(ROOT)} from this checkout")
+    mode.add_argument("--python", metavar="PATH",
+                      help="compare the records of the sweep under this interpreter")
+    mode.add_argument("--json", action="store_true",
+                      help="print the records this interpreter can run, as --python reads them")
     args = parser.parse_args(argv)
-    got = records(argvs())
+    if args.json:
+        has_numpy = importlib.util.find_spec("numpy") is not None
+        json.dump(records([a for a in argvs() if has_numpy or numpy_free(a)]), sys.stdout)
+        return 0
+    if args.python:
+        child = subprocess.run([args.python, __file__, "--json"], check=True,
+                               stdout=subprocess.PIPE, text=True)
+        got = {k: v for k, v in json.loads(child.stdout).items()
+               if not argparse_text(shlex.split(k), v)}
+        print(f"{args.python}: {len(got)} records without argparse text")
+    else:
+        got = records(argvs())
     if args.write:
         lines = [f"{json.dumps(k)}: {json.dumps(v)}" for k, v in got.items()]
         GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
         print(f"wrote {len(got)} records to {GOLDEN.relative_to(ROOT)}")
         return 0
-    want = load_golden()
+    want = {k: v for k, v in load_golden().items() if not args.python or k in got}
     differ = [k for k in got.keys() | want.keys() if got.get(k) != want.get(k)]
     for k in sorted(differ):
         print(f"DIFFERS {k}\n  recorded {want.get(k)}\n  now      {got.get(k)}")
