@@ -225,9 +225,8 @@ def evaluation_matrix(curve: "KummerCurve", fns: Sequence[rr.BasisFunction],
     return raw
 
 
-def evaluation_code(curve: "KummerCurve", G: rr.Divisor, places=None) -> LinearCode:
-    """The code {(h(P_1), ..., h(P_n)) : h in L(G)} over F_q, at the places
-    evaluation_places(curve, G), which a caller that has them passes in.
+def evaluation_code(curve: "KummerCurve", G: rr.Divisor) -> LinearCode:
+    """The code {(h(P_1), ..., h(P_n)) : h in L(G)} over F_q.
 
     Rows are the evaluations of the monomial basis of L(G), reduced to
     canonical RREF; k is the resulting rank (equal to l(G) whenever
@@ -236,7 +235,7 @@ def evaluation_code(curve: "KummerCurve", G: rr.Divisor, places=None) -> LinearC
     so k = l(G) - l(G - D) = n and the code is all of F_q^n: its RREF is
     the identity, built without a basis.
     """
-    places = evaluation_places(curve, G) if places is None else places
+    places = evaluation_places(curve, G)
     n = len(places)
     if G.degree >= n + 2 * curve.genus - 1:
         # tables() also refuses q > MAX_TABLE_Q before an n x n array is allocated
@@ -261,19 +260,20 @@ def residue_code(curve: "KummerCurve", G: rr.Divisor) -> LinearCode:
     and zero from deg G >= n + 2g - 1 on, both refused before anything is
     built; all of F_q^n again when L(G) vanishes at every place of the code.
     """
-    places = evaluation_places(curve, G)
-    n = len(places)
+    n = len(evaluation_places(curve, G))
     if G.degree < curve.genus and rr.dim(curve, G) == 0:
         raise ValueError(f"the residue code is trivial: l(G) = 0, so it is all of "
                          f"F_q^{n} (k = {n})")
     try:
-        primal = None if G.degree >= n + 2 * curve.genus - 1 else evaluation_code(curve, G, places)
+        primal = None if G.degree >= n + 2 * curve.genus - 1 else evaluation_code(curve, G)
     except ZeroMapError:
         raise ValueError(f"the residue code is trivial: L(G) vanishes at every place, "
                          f"so it is all of F_q^{n} (k = {n})") from None
     if primal is None or primal.k == n:
-        raise ValueError(f"the residue code is trivial: the evaluation code for G is all "
-                         f"of F_q^{n} (k = 0)")
+        raise ValueError(
+            f"the residue code is trivial: the evaluation code for G is all "
+            f"of F_q^{n} (k = 0)"
+        )
     gen = nullspace(curve.field, primal.gen)
     box = None
     supp = G.support_indices

@@ -191,13 +191,14 @@ class BasisFunction:
         cancelling the (x - alpha) factors.
         """
         field = curve.field
-        alphas = [field.element(a) for a in curve.alphas]
         if place.kind == "ordinary":
             x = field.element(place.x)
             val = x ** self.x_pow * field.element(place.y) ** self.y_pow
             for i, e in self.denom:
-                val = val * (x - alphas[i - 1]) ** (-e)
-            return val * curve.f(x) ** (-self.f_pow)  # f(x) != 0 off the P_i
+                val = val * (x - field.element(curve.alphas[i - 1])) ** (-e)
+            if self.f_pow:
+                val = val * curve.f(x) ** (-self.f_pow)
+            return val
         v = self.valuation(curve, place)
         if v < 0:
             raise ValueError("function has a pole at the evaluation place")
@@ -207,11 +208,11 @@ class BasisFunction:
             return field.one()
         if self.y_pow:
             raise InternalCheckError("valuation 0 with a y factor is impossible")
-        alpha = alphas[place.index - 1]
+        alpha = field.element(curve.alphas[place.index - 1])
         val = field.one() if alpha.is_zero() else alpha ** self.x_pow
         for i, e in self.denom:
             if i != place.index:
-                val = val * (alpha - alphas[i - 1]) ** (-e)
+                val = val * (alpha - field.element(curve.alphas[i - 1])) ** (-e)
         if self.f_pow:
             # f = (x - alpha) * h with h(alpha) = f'(alpha), over any field
             val = val * curve.f.derivative()(alpha) ** (-self.f_pow)

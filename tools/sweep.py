@@ -153,6 +153,17 @@ def numpy_free(argv: list[str]) -> bool:
     return argv[:1] in (["semigroup"], ["twopoint"]) or argv == ["verify-paper", "--list"]
 
 
+def runnable_records() -> dict[str, list]:
+    """The records this interpreter can run: all with numpy, else the numpy_free ones."""
+    has_numpy = importlib.util.find_spec("numpy") is not None
+    return records([a for a in argvs() if has_numpy or numpy_free(a)])
+
+
+# what --python runs under PATH, with this directory as its argument
+CHILD = "import json, sys; sys.path.insert(0, sys.argv[1]); import sweep; " \
+        "json.dump(sweep.runnable_records(), sys.stdout)"
+
+
 def write_configs(directory: Path) -> None:
     texts = {**BAD_CONFIGS, **LONE_CONFIGS}
     for token, spec in CURVES.items():
@@ -217,16 +228,10 @@ def main(argv=None) -> int:
                       help=f"rewrite {GOLDEN.relative_to(ROOT)} from this checkout")
     mode.add_argument("--python", metavar="PATH",
                       help="compare the records of the sweep under this interpreter")
-    mode.add_argument("--json", action="store_true",
-                      help="print the records this interpreter can run, as --python reads them")
     args = parser.parse_args(argv)
-    if args.json:
-        has_numpy = importlib.util.find_spec("numpy") is not None
-        json.dump(records([a for a in argvs() if has_numpy or numpy_free(a)]), sys.stdout)
-        return 0
     if args.python:
-        child = subprocess.run([args.python, __file__, "--json"], check=True,
-                               stdout=subprocess.PIPE, text=True)
+        child = subprocess.run([args.python, "-c", CHILD, str(Path(__file__).parent)],
+                               check=True, stdout=subprocess.PIPE, text=True)
         got = {k: v for k, v in json.loads(child.stdout).items()
                if not argparse_text(shlex.split(k), v)}
         print(f"{args.python}: {len(got)} records without argparse text")
