@@ -89,7 +89,7 @@ class KummerCurve:
     @cached_property
     def log_f(self) -> tuple[int, ...]:
         """log f(x) by the encoding of x, -1 where f(x) = 0: f evaluated once per x."""
-        return tuple(self.field._log[self.f(a).enc] for a in self.field.elements())
+        return tuple(self.field._log[self.f(x)] for x in range(self.field.q))
 
     @cached_property
     def alphas(self) -> tuple[int, ...]:

@@ -3,16 +3,19 @@
 Elements are coefficient vectors modulo a fixed monic irreducible polynomial
 over F_p.  Every element has a canonical integer encoding
 ``enc = sum(coeffs[i] * p**i)`` in ``[0, q)``, the wire format used
-throughout the package; a :class:`FieldElement` holds only that integer.
+throughout the package.  :class:`Field`'s ``add``, ``neg``, ``mul`` and
+``pow`` are the scalar arithmetic on encodings; a :class:`FieldElement` holds
+only its encoding and is the public view over them.
 
-Arithmetic is Zech-logarithm arithmetic (Lidl-Niederreiter, *Finite
+That arithmetic is Zech-logarithm arithmetic (Lidl-Niederreiter, *Finite
 Fields*) on O(q) lists built once per field from the primitive element g of
 smallest encoding: ``exp[n] = enc(g**n)``, its inverse ``log``, ``neg`` and
 ``zech[n] = log(1 + g**n)`` (-1 where g**n = -1), so that
 ``a*b = exp[log a + log b]`` and ``a + b = a * g**zech[log b - log a]``,
-exponents mod q - 1.  Polynomial arithmetic mod the modulus only picks the
-modulus and walks the powers of g once.  Caps: q <= MAX_Q = 2**16, and the
-dense :meth:`Field.tables` need q <= MAX_TABLE_Q = 2**12.  The tables hold
+exponents mod q - 1; :meth:`Field.tables` is the same rule vectorised.
+Polynomial arithmetic mod the modulus only picks the modulus and walks the
+powers of g once.  Caps: q <= MAX_Q = 2**16, and the dense
+:meth:`Field.tables` need q <= MAX_TABLE_Q = 2**12.  The tables hold
 encodings in the narrowest unsigned dtype that fits q, uint8 up to q = 256
 and uint16 above, so the two q x q tables take 2*q**2 or 4*q**2 bytes; they
 are read-only, since every caller in the process shares them.
@@ -217,8 +220,6 @@ class Field:
                 raise ValueError("element belongs to a different field")
             return value
         if isinstance(value, int):
-            if self.e == 1:
-                return FieldElement(self, value % self.p)
             if not 0 <= value < self.q:
                 raise ValueError(f"encoding {value} outside [0, {self.q})")
             return FieldElement(self, value)
@@ -235,8 +236,30 @@ class Field:
 
     def elements(self) -> Iterator[FieldElement]:
         """All field elements in increasing encoding order."""
-        for n in range(self.q):
-            yield FieldElement(self, n)
+        return (FieldElement(self, n) for n in range(self.q))
+
+    # -- scalar arithmetic on encodings in [0, q) ------------------------------
+
+    def add(self, a: int, b: int) -> int:
+        if not a or not b:
+            return a or b
+        la, order = self._log[a], self.q - 1
+        z = self._zech[(self._log[b] - la) % order]
+        return 0 if z < 0 else self._exp[(la + z) % order]
+
+    def neg(self, a: int) -> int:
+        return self._neg[a]
+
+    def mul(self, a: int, b: int) -> int:
+        return a and b and self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+
+    def pow(self, a: int, n: int) -> int:
+        """a**n for any integer n, with 0**0 = 1; 0**n for n < 0 raises."""
+        if not a:
+            if n < 0:
+                raise ZeroDivisionError("0 has no multiplicative inverse")
+            return 0 if n else 1
+        return self._exp[self._log[a] * n % (self.q - 1)]
 
     def tables(self) -> FieldTables:
         """enc-indexed add/mul/neg/inv tables (built once, then cached).
@@ -286,7 +309,7 @@ class FieldElement:
     """Element of a :class:`Field`, held as its encoding ``enc``; immutable,
     and compared and hashed by (field, enc).
 
-    Every operator is one or two lookups in the field's exp/log/Zech arrays;
+    Every operator delegates to the field's scalar op on the encodings;
     both operands are elements, and of different fields they raise ValueError.
     The slots are spelled out rather than made by ``slots=True``, whose
     rebuilt class breaks the frozen ``__setattr__`` on Python 3.10 and 3.11.
@@ -303,33 +326,22 @@ class FieldElement:
     def is_zero(self) -> bool:
         return self.enc == 0
 
-    def __add__(self, other: FieldElement) -> FieldElement:
-        F = self.field
-        if other.field is not F and other.field != F:
+    def _operand(self, other: FieldElement) -> int:
+        if other.field is not self.field and other.field != self.field:
             raise ValueError("operands belong to different fields")
-        a, b = self.enc, other.enc
-        if not a:
-            return other
-        if not b:
-            return self
-        la, order = F._log[a], F.q - 1
-        z = F._zech[(F._log[b] - la) % order]
-        return FieldElement(F, 0 if z < 0 else F._exp[(la + z) % order])
+        return other.enc
+
+    def __add__(self, other: FieldElement) -> FieldElement:
+        return FieldElement(self.field, self.field.add(self.enc, self._operand(other)))
 
     def __sub__(self, other: FieldElement) -> FieldElement:
         return self + (-other)
 
     def __neg__(self):
-        return FieldElement(self.field, self.field._neg[self.enc])
+        return FieldElement(self.field, self.field.neg(self.enc))
 
     def __mul__(self, other: FieldElement) -> FieldElement:
-        F = self.field
-        if other.field is not F and other.field != F:
-            raise ValueError("operands belong to different fields")
-        a, b = self.enc, other.enc
-        if not a or not b:
-            return FieldElement(F, 0)
-        return FieldElement(F, F._exp[(F._log[a] + F._log[b]) % (F.q - 1)])
+        return FieldElement(self.field, self.field.mul(self.enc, self._operand(other)))
 
     __rmul__ = __mul__
 
@@ -338,12 +350,7 @@ class FieldElement:
 
     def __pow__(self, n: int) -> "FieldElement":
         """a**n for any integer n, with 0**0 = 1; 0**n for n < 0 raises."""
-        F = self.field
-        if not self.enc:
-            if n < 0:
-                raise ZeroDivisionError("0 has no multiplicative inverse")
-            return FieldElement(F, 0 if n else 1)
-        return FieldElement(F, F._exp[F._log[self.enc] * n % (F.q - 1)])
+        return FieldElement(self.field, self.field.pow(self.enc, n))
 
     def __reduce__(self):  # pickle and copy rebuild through __init__
         return FieldElement, (self.field, self.enc)

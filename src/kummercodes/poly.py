@@ -2,8 +2,9 @@
 
 f is built from its coefficient encodings or from its roots, and offers
 what the curve needs of it: evaluation on F_q, the derivative, and the gcd
-behind the separability test.  Coefficients are dense little-endian with no
-trailing zeros; the zero polynomial is the empty sequence.  Degrees stay
+behind the separability test.  Coefficients are encodings, dense
+little-endian with no trailing zeros (the zero polynomial is the empty
+sequence), and the field's scalar ops do all their arithmetic.  Degrees stay
 small here (around 10), so schoolbook algorithms are used throughout.
 """
 
@@ -12,40 +13,38 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .gf import Field, FieldElement
+from .gf import Field
 
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Polynomial with FieldElement coefficients, given as elements or
-    encodings; immutable, and compared and hashed by (field, coeffs) once
-    trailing zeros are trimmed."""
+    """Polynomial with encoding coefficients, given as encodings or elements;
+    immutable, and compared and hashed by (field, coeffs) once trailing zeros
+    are trimmed.  ``f(a)`` takes an encoding and returns one."""
 
     field: Field
-    coeffs: tuple[FieldElement, ...] = ()
+    coeffs: tuple[int, ...] = ()
 
     def __post_init__(self):
-        cs = [self.field.element(c) for c in self.coeffs]
-        while cs and cs[-1].is_zero():
+        cs = [self.field.element(c).enc for c in self.coeffs]
+        while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def from_roots(cls, field: Field, roots: Iterable[FieldElement | int]) -> "Polynomial":
-        """The monic polynomial with the given roots (with multiplicity)."""
-        out = cls(field, [field.one()])
+    def from_roots(cls, field: Field, roots: Iterable[int]) -> "Polynomial":
+        """The monic polynomial with the given roots (encodings or elements), with multiplicity."""
+        out = cls(field, [1])
         for a in roots:
-            out = out * cls(field, [-field.element(a), field.one()])
+            out = out * cls(field, [field.neg(field.element(a).enc), 1])
         return out
 
     def format(self) -> str:
         """The little-endian encodings as a config's ``f =`` line: "0,4,0,0,0,1"
         is x**5 + 4x in characteristic 5; the zero polynomial prints as "0"."""
-        if not self.coeffs:
-            return "0"
-        return ",".join(str(c.enc) for c in self.coeffs)
+        return ",".join(map(str, self.coeffs)) or "0"
 
     # -- structure ------------------------------------------------------------
 
@@ -57,14 +56,14 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def leading_coefficient(self) -> FieldElement:
+    def leading_coefficient(self) -> int:
         if self.is_zero():
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
     def monic(self) -> "Polynomial":
-        inv = self.leading_coefficient().inverse()
-        return Polynomial(self.field, [c * inv for c in self.coeffs])
+        F, inv = self.field, self.field.pow(self.leading_coefficient(), -1)
+        return Polynomial(F, [F.mul(c, inv) for c in self.coeffs])
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -74,46 +73,40 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_field(other)
-        if self.is_zero() or other.is_zero():
-            return Polynomial(self.field)
-        z = self.field.zero()
-        out = [z] * (len(self.coeffs) + len(other.coeffs) - 1)
+        F = self.field
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)  # zeros, or [], if a factor is 0
         for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
             for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Polynomial(self.field, out)
+                out[i + j] = F.add(out[i + j], F.mul(a, b))
+        return Polynomial(F, out)
 
     def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         self._check_field(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        F = self.field
         rem = list(self.coeffs)
         dq = len(rem) - len(other.coeffs)
         if dq < 0:
-            return Polynomial(self.field), self
-        inv_lead = other.leading_coefficient().inverse()
-        quot = [self.field.zero()] * (dq + 1)
+            return Polynomial(F), self
+        inv_lead = F.pow(other.leading_coefficient(), -1)
+        quot = [0] * (dq + 1)
         for k in range(dq, -1, -1):
-            c = rem[k + other.degree] * inv_lead
-            quot[k] = c
-            if not c.is_zero():
-                for i, b in enumerate(other.coeffs):
-                    rem[k + i] = rem[k + i] - c * b
-        return Polynomial(self.field, quot), Polynomial(self.field, rem)
+            quot[k] = c = F.mul(rem[k + other.degree], inv_lead)
+            for i, b in enumerate(other.coeffs):
+                rem[k + i] = F.add(rem[k + i], F.neg(F.mul(c, b)))
+        return Polynomial(F, quot), Polynomial(F, rem)
 
     def derivative(self) -> "Polynomial":
-        out = []
-        for i in range(1, len(self.coeffs)):
-            out.append(self.coeffs[i] * self.field.element(i % self.field.p))
-        return Polynomial(self.field, out)
+        F = self.field
+        # the integer i is the prime-field element of encoding i mod p
+        return Polynomial(F, [F.mul(c, i % F.p) for i, c in enumerate(self.coeffs) if i])
 
-    def __call__(self, a: FieldElement) -> FieldElement:
-        """Evaluate by Horner's rule."""
-        acc = self.field.zero()
+    def __call__(self, a: int) -> int:
+        """f(a) for an encoding a, as an encoding, by Horner's rule."""
+        F, acc = self.field, 0
         for c in reversed(self.coeffs):
-            acc = acc * a + c
+            acc = F.add(F.mul(acc, a), c)
         return acc
 
     def __repr__(self):
@@ -140,8 +133,8 @@ def is_separable(f: Polynomial) -> bool:
     return gcd(f, d).degree == 0
 
 
-def roots_in_field(f: Polynomial) -> set[FieldElement]:
-    """{a in F_q : f(a) = 0}, by exhaustive scan of the field."""
+def roots_in_field(f: Polynomial) -> set[int]:
+    """The encodings a with f(a) = 0, by exhaustive scan of the field."""
     if f.is_zero():
         raise ValueError("zero polynomial")
-    return {a for a in f.field.elements() if f(a).is_zero()}
+    return {a for a in range(f.field.q) if not f(a)}

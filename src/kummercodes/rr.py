@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - imports for annotations only
     from .curve import KummerCurve, Place
-    from .gf import FieldElement
 
 # largest l(D) that basis builds: an evaluation code needs at most n + g - 1
 MAX_BASIS = 2 ** 16
@@ -180,9 +179,9 @@ class BasisFunction:
         x_hits = self.x_pow if curve.alphas[place.index - 1] == 0 else 0
         return self.y_pow * lam + m * (x_hits - dict(self.denom).get(place.index, 0) - self.f_pow)
 
-    def evaluate(self, curve: "KummerCurve", place: "Place") -> "FieldElement":
-        """Value at a place outside the pole support, as a field element: the
-        reference route, reading the encodings through ``field.element``.
+    def evaluate(self, curve: "KummerCurve", place: "Place") -> int:
+        """Value at a place outside the pole support, as an encoding: the
+        reference route, by the field's scalar ops on the encodings.
 
         At ordinary places this is plain substitution.  Elsewhere the y-zeros
         cancel exactly against the denominator poles: a positive valuation
@@ -190,32 +189,32 @@ class BasisFunction:
         in x) and at P_i forces y_pow == 0, the value read off after
         cancelling the (x - alpha) factors.
         """
-        field = curve.field
+        F = curve.field
         if place.kind == "ordinary":
-            x = field.element(place.x)
-            val = x ** self.x_pow * field.element(place.y) ** self.y_pow
+            x = place.x
+            val = F.mul(F.pow(x, self.x_pow), F.pow(place.y, self.y_pow))
             for i, e in self.denom:
-                val = val * (x - field.element(curve.alphas[i - 1])) ** (-e)
+                val = F.mul(val, F.pow(F.add(x, F.neg(curve.alphas[i - 1])), -e))
             if self.f_pow:
-                val = val * curve.f(x) ** (-self.f_pow)
+                val = F.mul(val, F.pow(curve.f(x), -self.f_pow))
             return val
         v = self.valuation(curve, place)
         if v < 0:
             raise ValueError("function has a pole at the evaluation place")
         if v > 0:
-            return field.zero()
+            return 0
         if place.kind == "infinity":
-            return field.one()
+            return 1
         if self.y_pow:
             raise InternalCheckError("valuation 0 with a y factor is impossible")
-        alpha = field.element(curve.alphas[place.index - 1])
-        val = field.one() if alpha.is_zero() else alpha ** self.x_pow
+        alpha = curve.alphas[place.index - 1]
+        val = F.pow(alpha, self.x_pow) if alpha else 1
         for i, e in self.denom:
             if i != place.index:
-                val = val * (alpha - field.element(curve.alphas[i - 1])) ** (-e)
+                val = F.mul(val, F.pow(F.add(alpha, F.neg(curve.alphas[i - 1])), -e))
         if self.f_pow:
             # f = (x - alpha) * h with h(alpha) = f'(alpha), over any field
-            val = val * curve.f.derivative()(alpha) ** (-self.f_pow)
+            val = F.mul(val, F.pow(curve.f.derivative()(alpha), -self.f_pow))
         return val
 
     def __str__(self):

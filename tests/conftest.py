@@ -1,14 +1,17 @@
+import contextlib
 import json
+import operator
 import os
 import subprocess
 import sys
 from math import gcd
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import kummercodes
-from kummercodes import NumericalSemigroup, Polynomial, make_curve, make_field
+from kummercodes import FieldElement, NumericalSemigroup, Polynomial, make_curve, make_field
 
 # primes used to host the sweep curves; p >= 3 keeps the two-point membership
 # oracle's two-term combination argument valid, p >= r gives r distinct roots
@@ -35,6 +38,29 @@ def build_grid_curves():
 @pytest.fixture(scope="session")
 def grid_curves():
     return build_grid_curves()
+
+
+@contextlib.contextmanager
+def _element_arithmetic_refused():
+    def refuse(*args):
+        raise AssertionError("FieldElement arithmetic")
+
+    # every operator the class defines, reflected ones included, so the
+    # guard follows the class as operators come and go
+    ops = [name for name, attr in vars(FieldElement).items() if callable(attr)
+           and {name, name.replace("__r", "__", 1)} & vars(operator).keys()]
+    assert {"__add__", "__neg__", "__mul__", "__rmul__", "__pow__"} <= set(ops)
+    with contextlib.ExitStack() as stack:
+        for op in ops + ["inverse"]:
+            stack.enter_context(mock.patch.object(FieldElement, op, refuse))
+        yield
+
+
+@pytest.fixture(scope="session")
+def no_element_arithmetic():
+    """A context manager under which every FieldElement operator raises, so
+    that a test can show a route computes on the encodings alone."""
+    return _element_arithmetic_refused
 
 
 def _sieve_semigroup(generators):

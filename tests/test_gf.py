@@ -149,6 +149,10 @@ def test_encoding_roundtrip(f25, f64):
             assert field.element(el.coeffs) == el
     with pytest.raises(ValueError, match=r"encoding 25 outside \[0, 25\)"):
         f25.element(25)
+    # a prime field refuses what is no encoding too, rather than reducing it
+    for n in (5, -1):
+        with pytest.raises(ValueError, match=rf"encoding {n} outside \[0, 5\)"):
+            make_field(5).element(n)
     with pytest.raises(ValueError, match="expected 2 coefficients, got 3"):
         f25.element([1, 0, 0])
 
@@ -261,6 +265,16 @@ def field_operands(draw):
 def test_arithmetic_matches_tuple_reference(operands):
     field, a, b, n = operands
     assert field.zero() ** 0 == field.one() and field.zero() ** 3 == field.zero()
+    # the scalar ops on the encodings, which the operators delegate to
+    x, y = a.enc, b.enc
+    assert field.mul(x, y) == _ref_mul(field, a, b).enc
+    assert field.add(x, y) == _ref_add(field, a, b).enc
+    assert field.neg(y) == field.element([-c for c in b.coeffs]).enc
+    assert field.pow(0, 0) == 1 and field.pow(0, 3) == 0
+    with pytest.raises(ZeroDivisionError):
+        field.pow(0, -1)
+    if x or n >= 0:
+        assert field.pow(x, n) == _ref_pow(field, a, n).enc
     assert a * b == _ref_mul(field, a, b)
     assert a + b == _ref_add(field, a, b)
     assert -b == field.element([-c for c in b.coeffs])
@@ -303,6 +317,9 @@ def test_size_caps():
         Field(2, 17)
     with pytest.raises(ValueError, match="MAX_Q"):
         make_field(65537)
+    # q = MAX_Q passes the size cap, so p = MAX_Q itself needs the primality test
+    with pytest.raises(ValueError, match="characteristic must be prime, got 65536"):
+        make_field(2 ** 16)
     with pytest.raises(ValueError, match="MAX_Q"):
         make_field(3, 10 ** 9)
     assert make_field(2, 16).q == gf.MAX_Q  # the cap itself is allowed

@@ -124,11 +124,12 @@ def test_theory_imports_no_field_code(name):
     assert not _package_imports(name) & {"gf", "poly", "curve"}
 
 
-@pytest.mark.parametrize("name", ("curve", "code"))
+@pytest.mark.parametrize("name", [name for name in LAYERS if name != "gf"])
 def test_points_are_encodings(name):
-    # the curve hands out its roots and points as the field's encodings and
-    # the code layer gathers on them; only rr's reference evaluator and the
-    # tests read them as elements
+    # f, its roots and the curve's points are the field's encodings: poly,
+    # the curve and rr's reference evaluator compute on them with the
+    # field's scalar ops, and the code layer gathers on them; only gf's
+    # FieldElement and the tests read them as elements
     tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
     names = set()
     for node in ast.walk(tree):

@@ -31,6 +31,9 @@ def test_coefficients_from_another_field_rejected(f25, f64):
 def test_trailing_zeros_trimmed(f25):
     f = Polynomial(f25, [1, 2, 0, 0])
     assert f.degree == 1
+    # elements and encodings alike are kept as the encodings
+    assert Polynomial(f25, [f25.element(3), 2, f25.zero()]).coeffs == (3, 2)
+    assert all(type(c) is int for c in f.coeffs)
     assert Polynomial(f25, [0, 0]).is_zero()
     assert Polynomial(f25, [0, 0]).degree == -1
 
@@ -38,8 +41,8 @@ def test_trailing_zeros_trimmed(f25):
 def test_eval_roots(f25):
     f = Polynomial(f25, [0, 4, 0, 0, 0, 1])  # x^5 - x
     for n in range(5):  # the prime subfield
-        assert f(f25.element(n)).is_zero()
-    assert not f(f25.element(5)).is_zero()
+        assert f(n) == 0
+    assert f(5) != 0 and type(f(5)) is int
 
 
 def test_gcd_with_unit_derivative(f25):
@@ -47,7 +50,7 @@ def test_gcd_with_unit_derivative(f25):
     d = f.derivative()
     assert d == Polynomial(f25, [4])  # 5x^4 - 1 = -1 in characteristic 5
     g = gcd(f, d)
-    assert g.degree == 0 and g.leading_coefficient() == f25.one()
+    assert g.degree == 0 and g.leading_coefficient() == 1
 
 
 def test_divmod_exact_char2(f64):
@@ -68,7 +71,8 @@ def test_divmod_reconstruction_randomized(f25, f64):
                 continue
             q, r = divmod(f, g)
             # every degree is below q, so agreeing on F_q means equal
-            assert all(q(a) * g(a) + r(a) == f(a) for a in field.elements())
+            E = field.element
+            assert all(E(q(a)) * E(g(a)) + E(r(a)) == E(f(a)) for a in range(field.q))
             assert r.is_zero() or r.degree < g.degree
     with pytest.raises(ZeroDivisionError):
         divmod(Polynomial(f25, [0, 1]), Polynomial(f25))
@@ -91,10 +95,10 @@ def test_separable_iff_distinct_roots_on_split_products(f25):
 
 def test_roots_in_field(f25, f64):
     f = Polynomial(f25, [0, 4, 0, 0, 0, 1])
-    assert {a.enc for a in roots_in_field(f)} == {0, 1, 2, 3, 4}
+    assert roots_in_field(f) == {0, 1, 2, 3, 4}
     quartic = Polynomial(f64, [0, 1, 1, 0, 1])
     rts = roots_in_field(quartic)
-    assert len(rts) == 4 and f64.zero() in rts
+    assert len(rts) == 4 and 0 in rts
     assert roots_in_field(Polynomial(f25, [1])) == set()
     with pytest.raises(ValueError):
         roots_in_field(Polynomial(f25))
@@ -106,13 +110,13 @@ def test_arithmetic_identities(f25):
         f = Polynomial(f25, [rng.randrange(25) for _ in range(rng.randint(0, 6))])
         g = Polynomial(f25, [rng.randrange(25) for _ in range(rng.randint(0, 6))])
         assert f * g == g * f
-        a = f25.element(rng.randrange(25))
-        assert (f * g)(a) == f(a) * g(a)
+        a, E = rng.randrange(25), f25.element
+        assert E((f * g)(a)) == E(f(a)) * E(g(a))
 
 
 def test_monic_and_pow(f25):
     f = Polynomial(f25, [2, 0, 3])
     m = f.monic()
-    assert m.leading_coefficient() == f25.one()
+    assert m.leading_coefficient() == 1
     with pytest.raises(ValueError, match="zero polynomial has no leading coefficient"):
         Polynomial(f25).monic()
