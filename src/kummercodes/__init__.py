@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 # own name exports itself.  A name is imported from its submodule on first
 # use, so theory-only use never loads the code layer and its numpy.
 _EXPORTS = {
-    "gf": ("Field", "FieldElement", "make_field"),
+    "gf": ("Field", "make_field"),
     "poly": ("Polynomial", "gcd", "is_separable", "roots_in_field"),
     "curve": ("ConfigError", "KummerCurve", "Place", "load_curve", "make_curve",
               "parse_curve_config"),

@@ -3,8 +3,9 @@
 Validates the defining data, computes the genus and enumerates the
 degree-one places off one scan of F_q, f evaluated once per x: P_inf, P_i
 centred on the root ``alphas[i - 1]`` of f, and the ordinary points (x, y),
-all as ints, the field encodings (``field.element`` reads them).  Valuations
-and Riemann-Roch spaces on the distinguished places are :mod:`.rr`'s.
+all as ints, the field encodings that ``field``'s scalar ops compute on.
+Valuations and Riemann-Roch spaces on the distinguished places are
+:mod:`.rr`'s.
 """
 
 from __future__ import annotations

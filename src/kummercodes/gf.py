@@ -4,8 +4,8 @@ Elements are coefficient vectors modulo a fixed monic irreducible polynomial
 over F_p.  Every element has a canonical integer encoding
 ``enc = sum(coeffs[i] * p**i)`` in ``[0, q)``, the wire format used
 throughout the package.  :class:`Field`'s ``add``, ``neg``, ``mul`` and
-``pow`` are the scalar arithmetic on encodings; a :class:`FieldElement` holds
-only its encoding and is the public view over them.
+``pow`` on encodings are the package's one field arithmetic;
+:class:`FieldElement` is only a hook for the benchmark's tracer.
 
 That arithmetic is Zech-logarithm arithmetic (Lidl-Niederreiter, *Finite
 Fields*) on O(q) lists built once per field from the primitive element g of
@@ -31,7 +31,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - imports for annotations only
     import numpy as np
@@ -211,33 +211,6 @@ class Field:
     def __repr__(self):
         return f"Field(p={self.p}, e={self.e})"
 
-    # -- element construction ------------------------------------------------
-
-    def element(self, value) -> FieldElement:
-        """Make an element from an encoding in [0, q) or a coefficient vector."""
-        if isinstance(value, FieldElement):
-            if value.field != self:
-                raise ValueError("element belongs to a different field")
-            return value
-        if isinstance(value, int):
-            if not 0 <= value < self.q:
-                raise ValueError(f"encoding {value} outside [0, {self.q})")
-            return FieldElement(self, value)
-        coeffs = tuple(int(c) % self.p for c in value)
-        if len(coeffs) != self.e:
-            raise ValueError(f"expected {self.e} coefficients, got {len(coeffs)}")
-        return FieldElement(self, _encode(coeffs, self.p))
-
-    def zero(self) -> FieldElement:
-        return FieldElement(self, 0)
-
-    def one(self) -> FieldElement:
-        return FieldElement(self, 1)
-
-    def elements(self) -> Iterator[FieldElement]:
-        """All field elements in increasing encoding order."""
-        return (FieldElement(self, n) for n in range(self.q))
-
     # -- scalar arithmetic on encodings in [0, q) ------------------------------
 
     def add(self, a: int, b: int) -> int:
@@ -306,11 +279,13 @@ class Field:
 
 @dataclass(frozen=True)
 class FieldElement:
-    """Element of a :class:`Field`, held as its encoding ``enc``; immutable,
-    and compared and hashed by (field, enc).
+    """An encoding ``enc`` of a :class:`Field` with three operators, each one
+    call of the field's scalar op; operands of different fields raise
+    ValueError.  No library path makes one.  The class stays only because
+    ``perfbench/tracer.py`` wraps ``__mul__``, ``__rmul__`` and ``__pow__``
+    by name, until the benchmark counts ``Field.mul`` and ``Field.pow``
+    (ROADMAP item 1, step 1b).
 
-    Every operator delegates to the field's scalar op on the encodings;
-    both operands are elements, and of different fields they raise ValueError.
     The slots are spelled out rather than made by ``slots=True``, whose
     rebuilt class breaks the frozen ``__setattr__`` on Python 3.10 and 3.11.
     """
@@ -319,44 +294,18 @@ class FieldElement:
     field: Field
     enc: int
 
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return _decode_coeffs(self.enc, self.field.p, self.field.e)
-
-    def is_zero(self) -> bool:
-        return self.enc == 0
-
     def _operand(self, other: FieldElement) -> int:
         if other.field is not self.field and other.field != self.field:
             raise ValueError("operands belong to different fields")
         return other.enc
-
-    def __add__(self, other: FieldElement) -> FieldElement:
-        return FieldElement(self.field, self.field.add(self.enc, self._operand(other)))
-
-    def __sub__(self, other: FieldElement) -> FieldElement:
-        return self + (-other)
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.enc))
 
     def __mul__(self, other: FieldElement) -> FieldElement:
         return FieldElement(self.field, self.field.mul(self.enc, self._operand(other)))
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "FieldElement":
-        return self ** -1
-
-    def __pow__(self, n: int) -> "FieldElement":
-        """a**n for any integer n, with 0**0 = 1; 0**n for n < 0 raises."""
+    def __pow__(self, n: int) -> FieldElement:
         return FieldElement(self.field, self.field.pow(self.enc, n))
-
-    def __reduce__(self):  # pickle and copy rebuild through __init__
-        return FieldElement, (self.field, self.enc)
-
-    def __repr__(self):
-        return f"{self.enc}"
 
 
 @lru_cache(maxsize=None)

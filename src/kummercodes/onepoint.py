@@ -17,13 +17,11 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
-from .rr import InternalCheckError
+# MAX_GENUS is rr's, and stays readable as onepoint.MAX_GENUS
+from .rr import MAX_GENUS, InternalCheckError, check_genus
 
 if TYPE_CHECKING:  # pragma: no cover - imports for annotations only
     from .curve import KummerCurve, Place
-
-# the walk's time and memory grow with the genus (m - 1)(r - 1)/2
-MAX_GENUS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -125,8 +123,7 @@ def gap_pairs(m: int, r: int) -> tuple[tuple[int, int], ...]:
     a place over a root of f; the one walk per (m, r).  A genus past
     MAX_GENUS raises ValueError before the walk."""
     genus = (m - 1) * (r - 1) // 2
-    if genus > MAX_GENUS:
-        raise ValueError(f"genus {genus} exceeds onepoint.MAX_GENUS = {MAX_GENUS}")
+    check_genus(genus)
     pairs = tuple(sorted((m * r - m * j - r * i, i + m * (j - 1))
                          for i in range(1, m - m // r) for j in range(1, r - (r * i) // m)))
     if len(pairs) != genus:

@@ -1,11 +1,12 @@
 """The curve's f in F_q[x].
 
-f is built from its coefficient encodings or from its roots, and offers
-what the curve needs of it: evaluation on F_q, the derivative, and the gcd
-behind the separability test.  Coefficients are encodings, dense
-little-endian with no trailing zeros (the zero polynomial is the empty
-sequence), and the field's scalar ops do all their arithmetic.  Degrees stay
-small here (around 10), so schoolbook algorithms are used throughout.
+f is built from its coefficient encodings or from the encodings of its
+roots, and offers what the curve needs of it: evaluation on F_q, the
+derivative, and the gcd behind the separability test.  Coefficients are
+encodings, ints in [0, q), dense little-endian with no trailing zeros (the
+zero polynomial is the empty sequence), and the field's scalar ops do all
+their arithmetic.  Degrees stay small here (around 10), so schoolbook
+algorithms are used throughout.
 """
 
 from __future__ import annotations
@@ -16,17 +17,26 @@ from typing import Iterable
 from .gf import Field
 
 
+def _encodings(field: Field, values: Iterable[int]) -> list[int]:
+    out = list(values)
+    for n in out:
+        if not (isinstance(n, int) and 0 <= n < field.q):
+            raise ValueError(f"encoding {n} outside [0, {field.q})")
+    return out
+
+
 @dataclass(frozen=True)
 class Polynomial:
-    """Polynomial with encoding coefficients, given as encodings or elements;
-    immutable, and compared and hashed by (field, coeffs) once trailing zeros
-    are trimmed.  ``f(a)`` takes an encoding and returns one."""
+    """Polynomial with encoding coefficients; immutable, and compared and
+    hashed by (field, coeffs) once trailing zeros are trimmed.  Anything
+    but an encoding raises ValueError.  ``f(a)`` takes an encoding and
+    returns one."""
 
     field: Field
     coeffs: tuple[int, ...] = ()
 
     def __post_init__(self):
-        cs = [self.field.element(c).enc for c in self.coeffs]
+        cs = _encodings(self.field, self.coeffs)
         while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -35,10 +45,11 @@ class Polynomial:
 
     @classmethod
     def from_roots(cls, field: Field, roots: Iterable[int]) -> "Polynomial":
-        """The monic polynomial with the given roots (encodings or elements), with multiplicity."""
+        """The monic polynomial with the given root encodings, with multiplicity."""
         out = cls(field, [1])
-        for a in roots:
-            out = out * cls(field, [field.neg(field.element(a).enc), 1])
+        # checked before neg, which indexes a list: -1 would read its last entry
+        for a in _encodings(field, roots):
+            out = out * cls(field, [field.neg(a), 1])
         return out
 
     def format(self) -> str:

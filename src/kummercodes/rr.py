@@ -23,6 +23,9 @@ if TYPE_CHECKING:  # pragma: no cover - imports for annotations only
 
 # largest l(D) that basis builds: an evaluation code needs at most n + g - 1
 MAX_BASIS = 2 ** 16
+# largest genus of any walk: m <= 2g + 1 strata here, and onepoint's lattice
+# walk, whose time and memory grow with the genus (m - 1)(r - 1)/2
+MAX_GENUS = 2 ** 16
 
 
 class InternalCheckError(RuntimeError):
@@ -118,23 +121,32 @@ class Divisor:
         return total
 
 
+def check_genus(genus: int) -> None:
+    """Refuse a genus past MAX_GENUS with ValueError, before any walk."""
+    if genus > MAX_GENUS:
+        raise ValueError(f"genus {genus} exceeds onepoint.MAX_GENUS = {MAX_GENUS}")
+
+
 def _strata(curve: "KummerCurve", D: Divisor):
     """(t, shared, deg, denom) per non-empty y-power stratum t of L(D), which
     holds x**j * y**t / (f**shared * prod (x - alpha_i)**e_i) for j <= deg.
 
-    shared = floor(t*lambda/m) is the floor at every place off supp D, so
-    only supp D gets its own floor; denom lists its nonzero (i, e_i).
+    With t*lambda = shared*m + u, f**shared clears the poles of y**t off
+    supp D, and the residue u alone fixes the rest: e_i = floor((b_i + u)/m)
+    on supp D, denom lists the nonzero (i, e_i), and deg =
+    floor((a - r*u)/m) + sum e_i.  As t runs over [0, m), u runs over
+    [0, m) too, so l(D) depends on (m, r) and D alone.
     """
     m, lam, r = curve.m, curve.lam, curve.r
     for i, _ in D.coeffs:
         if i > r:
             raise ValueError(f"place index {i} exceeds r={r}")
+    check_genus(curve.genus)
     for t in range(m):
-        shared = (t * lam) // m
-        deg = (D.coeff_inf - t * r * lam) // m + r * shared
-        denom = []
+        shared, u = divmod(t * lam, m)
+        deg, denom = (D.coeff_inf - r * u) // m, []
         for i, c in D.coeffs:
-            e = (c + t * lam) // m - shared
+            e = (c + u) // m
             if e:
                 deg += e
                 denom.append((i, e))
@@ -167,17 +179,16 @@ class BasisFunction:
 
     def valuation(self, curve: "KummerCurve", place: "Place") -> int:
         """Exact valuation at a distinguished place, from the standard
-        divisors of x - alpha_i, y and f."""
-        m, lam, r = curve.m, curve.lam, curve.r
+        divisors of x - alpha_i, y and f.  u = y_pow*lambda - m*f_pow is the
+        stratum's residue for the functions of ``basis``."""
+        m = curve.m
+        u = self.y_pow * curve.lam - m * self.f_pow
         if place.kind == "infinity":
-            v = -self.x_pow * m - self.y_pow * r * lam + self.f_pow * r * m
-            for _, e in self.denom:
-                v += e * m
-            return v
+            return m * (sum(e for _, e in self.denom) - self.x_pow) - curve.r * u
         if place.kind != "ramified":
             raise ValueError("valuation tracked at distinguished places only")
         x_hits = self.x_pow if curve.alphas[place.index - 1] == 0 else 0
-        return self.y_pow * lam + m * (x_hits - dict(self.denom).get(place.index, 0) - self.f_pow)
+        return u + m * (x_hits - dict(self.denom).get(place.index, 0))
 
     def evaluate(self, curve: "KummerCurve", place: "Place") -> int:
         """Value at a place outside the pole support, as an encoding: the

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import time
 from collections import Counter
 from functools import lru_cache
 from math import gcd
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kummercodes import Polynomial, make_curve, make_field, rr
+from kummercodes import Polynomial, load_curve, make_curve, make_field, rr
+from kummercodes.cli import EXIT_PRECONDITION, main
 from kummercodes.gf import is_prime
 from kummercodes.onepoint import semigroup_at
 from kummercodes.poly import is_separable, roots_in_field
@@ -296,15 +298,15 @@ def test_evaluate_ramified_f_power():
     ]
     for c in curves:
         assert c.alphas
-        for i, alpha in enumerate(map(c.field.element, c.alphas), start=1):
-            h, rem = divmod(c.f, Polynomial(c.field, [-alpha, c.field.one()]))
+        F = c.field
+        for i, alpha in enumerate(c.alphas, start=1):
+            h, rem = divmod(c.f, Polynomial(F, [F.neg(alpha), 1]))
             assert rem.is_zero()
             for s in (1, 2, 3):
-                for j in range(4 if not alpha.is_zero() else 1):
+                for j in range(4 if alpha else 1):
                     fn = BasisFunction(y_pow=0, x_pow=j, denom=((i, -s),), f_pow=s)
-                    value = c.field.element(fn.evaluate(c, c.ramified_place(i)))
-                    h_alpha = c.field.element(h(alpha.enc))
-                    assert value == alpha ** j * h_alpha ** (-s), (c, i, s, j)
+                    value = fn.evaluate(c, c.ramified_place(i))
+                    assert value == F.mul(F.pow(alpha, j), F.pow(h(alpha), -s)), (c, i, s, j)
 
 
 def test_evaluate_checks_the_y_cancellation(curve_y3_x5x):
@@ -348,3 +350,30 @@ def test_basis_cap(curve_y3_x5x, monkeypatch):
     assert basis(c, Divisor.at_infinity(11)).dimension == 8 == dim(c, Divisor.at_infinity(11))
     with pytest.raises(ValueError, match="rr.MAX_BASIS = 8"):
         basis(c, Divisor.at_infinity(12))
+
+
+def test_strata_walk_capped_by_genus(tmp_path, capsys):
+    # y^(10^8 + 1) = x^2 + x over F_2: before the cap, the strata walk under
+    # code's first l(G) took ~20 s for C_L and ~42 s for C_Omega
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("p = 2\ne = 1\nm = 100000001\nlambda = 1\nf = 0,1,1\n")
+    for argv in (["code", "--curve", str(cfg), "--G", "1P_inf"],
+                 ["code", "--curve", str(cfg), "--G", "1P_inf", "--omega"]):
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == EXIT_PRECONDITION, err
+        assert "genus 50000000 exceeds onepoint.MAX_GENUS = 65536" in err
+        assert elapsed < 1
+    huge = load_curve(cfg)
+    for walk in (dim, basis):
+        with pytest.raises(ValueError, match="MAX_GENUS"):
+            walk(huge, Divisor.at_infinity(1))
+    # y^(2g+1) = x^2 + x has genus g: the cap itself is allowed
+    f2 = make_field(2)
+    at_cap = make_curve(f2, 2 * rr.MAX_GENUS + 1, 1, Polynomial(f2, [0, 1, 1]))
+    assert dim(at_cap, Divisor.at_infinity(2)) == 2
+    over = make_curve(f2, 2 * rr.MAX_GENUS + 3, 1, Polynomial(f2, [0, 1, 1]))
+    with pytest.raises(ValueError, match="genus 65537 exceeds"):
+        dim(over, Divisor.at_infinity(2))

@@ -69,6 +69,7 @@ BAD_CONFIGS = {
     "bad_deg": "p = 5\ne = 1\nm = 3\nlambda = 1\nf = 0,1\n",
     "bad_dup": "p = 5\np = 5\n",
     "big_genus": "p = 5\ne = 1\nm = 100003\nlambda = 1\nf = 0,1,0,1\n",  # g = 100002
+    "big_strata": "p = 2\ne = 1\nm = 100000001\nlambda = 1\nf = 0,1,1\n",  # g = 5 * 10^7
     "big_scan": "p = 2\ne = 1\nm = 201\nlambda = 1\nf = 0,1,1\n",       # g = 100
     "g465": "p = 37\ne = 1\nm = 31\nlambda = 1\nf = 0,4,18,18,29,28,31,36,26,9,5,25,34,22,19,"
             "17,27,9,28,2,24,14,9,35,17,34,14,25,32,23,29,22,1\n",  # x(x-1)...(x-31)
@@ -107,7 +108,9 @@ def argvs() -> list[list[str]]:
             ["twopoint", "--curve", "{dir}/big_scan.cfg", "--pure-gaps", "100000"],
             ["twopoint", "--curve", "{dir}/g465.cfg", "--pure-gaps", "1860"],
             ["twopoint", "--curve", "{dir}/g465.cfg", "--pure-gaps", "100"],
-            ["code", "--curve", "{dir}/f8192.cfg", "--G", "3P_inf"]]
+            ["code", "--curve", "{dir}/f8192.cfg", "--G", "3P_inf"],
+            ["code", "--curve", "{dir}/big_strata.cfg", "--G", "1P_inf"],
+            ["code", "--curve", "{dir}/big_strata.cfg", "--G", "1P_inf", "--omega"]]
     for token in CURVES:
         cfg = f"{{dir}}/{token}.cfg"
         for place in PLACES:
